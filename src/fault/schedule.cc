@@ -191,6 +191,11 @@ parseEvent(const std::string &raw)
              event.kind == FaultKind::LinkDegrade ||
              event.kind == FaultKind::PoolKill)) {
             if (value == "all") {
+                // Only a link degrade can fan out to every node.
+                if (event.kind != FaultKind::LinkDegrade)
+                    fail("node=all is not supported for " + kind_name +
+                             "; name one node",
+                         token);
                 event.node = FaultEvent::kAllNodes;
             } else {
                 event.node = static_cast<std::size_t>(

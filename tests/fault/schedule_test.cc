@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "fault/schedule.h"
 
@@ -69,6 +70,25 @@ TEST(FaultScheduleTest, ParsesDbSlowAndPoolKill)
     EXPECT_EQ(s.events()[0].duration, secs(30.0));
     EXPECT_EQ(s.events()[1].kind, FaultKind::PoolKill);
     EXPECT_EQ(s.events()[1].node, 0u);
+}
+
+TEST(FaultScheduleTest, NodeAllIsOnlyForDegrade)
+{
+    // A crash or pool kill names one node; `all` used to parse and
+    // then index past the cluster's nodes.
+    for (const char *spec : {"crash@2:node=all", "poolkill@2:node=all"}) {
+        try {
+            FaultSchedule::parse(spec);
+            ADD_FAILURE() << spec << " parsed";
+        } catch (const std::invalid_argument &error) {
+            EXPECT_NE(std::string(error.what()).find(spec),
+                      std::string::npos)
+                << error.what();
+            EXPECT_NE(std::string(error.what()).find("node=all"),
+                      std::string::npos)
+                << error.what();
+        }
+    }
 }
 
 TEST(FaultScheduleTest, EventsSortByTimeStableOnTies)
