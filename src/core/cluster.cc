@@ -26,112 +26,112 @@ ClusterUnderTest::ClusterUnderTest(
     : config_(config), profiles_(std::move(profiles)),
       registry_(std::move(registry)),
       fabric_(config.fabric, config.nodes, seed ^ 0x4e7ull),
-      lb_(config.lb, config.nodes), db_scheduler_(config.db_cpus),
-      db_disk_(config.db_disk), seed_(seed),
+      lb_(config.lb, config.nodes), seed_(seed),
       retry_(config.resilience.retry), retry_rng_(seed ^ 0x7e7a1ull),
       route_rng_(seed ^ 0x5a4dull)
 {
     assert(profiles_ && registry_ && config_.nodes > 0);
 
+    // The DB tier is a vector of shard groups, each populated for its
+    // share of the aggregate IR, as the real benchmark scales its
+    // initial database with load. Unsharded, it is one group with no
+    // replicas -- shard 0, the single shared DB box -- seeded from the
+    // stream whose draws seed the replicated tier's groups. A
+    // replicated group always runs with WAL recovery and the audit
+    // (shipping needs the log, failover gates on the audit); the
+    // unsharded box arms them only for a DB fault or force_enabled.
     repl_on_ = config_.repl.enabled();
-    if (repl_on_) {
-        // Sharded/replicated tier: the key space splits across shard
-        // groups, each populated for its share of the aggregate IR.
-        // The legacy single shared box (db_app_) is never built.
-        shard_map_ =
-            std::make_unique<repl::ShardMap>(config_.repl.shards);
-        failover_ = std::make_unique<repl::FailoverController>(
-            queue_, config_.repl.failover);
-        shard_outages_.resize(shard_map_->shardCount());
-        Rng shard_seeder(seed ^ 0xdb0ull);
-        for (std::size_t s = 0; s < shard_map_->shardCount(); ++s) {
-            repl::ShardGroupConfig sc;
-            sc.db = config_.node.db;
-            sc.injection_rate = config_.totalInjectionRate() /
-                static_cast<double>(shard_map_->shardCount());
-            sc.cpus = config_.db_cpus;
-            sc.disk = config_.db_disk;
-            sc.replicas = config_.repl.replicas;
-            sc.replica = config_.repl.replica;
-            sc.sync = config_.repl.sync;
-            shards_.push_back(std::make_unique<repl::ShardGroup>(
-                queue_, sc, shard_seeder()));
-        }
-        // Lease/fencing machinery arms only when the schedule can
-        // split the fabric or hand a primary off; an unleased group
-        // is byte-identical to a build without partition support.
-        lease_on_ = config_.faults.hasPartition() ||
-            config_.faults.hasSwitchover() ||
-            config_.repl.lease.force_enabled;
-        if (lease_on_) {
-            stale_remnants_.resize(shards_.size());
-            for (std::size_t s = 0; s < shards_.size(); ++s) {
-                shards_[s]->armLease(
-                    config_.repl.lease, [this, s](std::size_t r) {
-                        return fabric_.reachable(
-                            servingEndpoint(s),
-                            NetEndpoint::dbReplica(s, r));
-                    });
-            }
-        }
-    } else {
-        // The shared DB node is populated for the aggregate IR, as the
-        // real benchmark scales its initial database with load.
-        db_app_ = std::make_unique<Jas2004Application>(
-            config_.node.db, config_.totalInjectionRate(),
-            seed ^ 0xdb0ull);
-    }
-
-    // In repl mode the per-shard machinery (group auditors, failover,
-    // per-shard ARIES fallback) replaces the legacy single-box one.
-    db_recovery_on_ = !repl_on_ &&
+    const bool box_recovery = !repl_on_ &&
         (config_.faults.hasDbFault() ||
          config_.db_recovery.force_enabled);
-    // A DB fault needs the resilient EJB->DB path (fail-fast checks,
+    shard_map_ = std::make_unique<repl::ShardMap>(
+        repl_on_ ? config_.repl.shards : 1);
+    shard_outages_.resize(shard_map_->shardCount());
+    Rng shard_seeder(seed ^ 0xdb0ull);
+    for (std::size_t s = 0; s < shard_map_->shardCount(); ++s) {
+        repl::ShardGroupConfig sc;
+        sc.db = config_.node.db;
+        sc.injection_rate = config_.totalInjectionRate() /
+            static_cast<double>(shard_map_->shardCount());
+        sc.cpus = config_.db_cpus;
+        sc.disk = config_.db_disk;
+        sc.replicas = config_.repl.replicas;
+        sc.replica = config_.repl.replica;
+        sc.sync = config_.repl.sync;
+        shards_.push_back(std::make_unique<repl::ShardGroup>(
+            queue_, sc, repl_on_ ? shard_seeder() : seed ^ 0xdb0ull,
+            /*recovery=*/repl_on_ || box_recovery));
+    }
+    if (repl_on_) {
+        failover_ = std::make_unique<repl::FailoverController>(
+            queue_, config_.repl.failover);
+    }
+    // Lease/fencing machinery arms only when the schedule can split
+    // the fabric or hand a primary off; an unleased group is
+    // byte-identical to a build without partition support.
+    lease_on_ = repl_on_ &&
+        (config_.faults.hasPartition() || config_.faults.hasSwitchover());
+    if (lease_on_) {
+        stale_remnants_.resize(shards_.size());
+        for (std::size_t s = 0; s < shards_.size(); ++s) {
+            shards_[s]->armLease(
+                config_.repl.lease, [this, s](std::size_t r) {
+                    return fabric_.reachable(
+                        servingEndpoint(s),
+                        NetEndpoint::dbReplica(s, r));
+                });
+        }
+    }
+
+    // A DB fault needs the resilient stages (fail-fast checks,
     // per-attempt deadlines) to survive the outage.
     resilience_on_ = !config_.faults.empty() ||
-        config_.resilience.force_enabled || db_recovery_on_;
-    if (db_recovery_on_) {
-        if (config_.db_recovery.audit)
-            db_app_->enableAudit();
-        db_app_->database().enableRecovery();
-    }
+        config_.resilience.force_enabled || box_recovery;
     // Admission control arms the whole backpressure ladder: the
     // balancer's in-flight cap, the per-node accept queue (built by
-    // each SystemUnderTest), and a bounded EJB->DB pool acquire on
-    // the plain path below. Default (none) leaves all of it off.
+    // each SystemUnderTest), and a bounded EJB->DB pool acquire.
+    // Default (none) leaves all of it off.
     adm_on_ = config_.node.admission.enabled();
     if (adm_on_)
         lb_.setInFlightCap(config_.node.admission.lb_inflight_cap);
 
+    // The optional stages of the call pipeline, fixed here. A pool
+    // acquire timeout of 0 waits forever; a deadline of 0 arms none.
     ConnectionPoolConfig pool_config = config_.db_pool;
-    if (adm_on_ && !resilience_on_ && !repl_on_ &&
-        pool_config.acquire_timeout_us <= 0.0 &&
-        config_.resilience.pool_acquire_timeout_s > 0.0) {
+    if (!adm_on_ && !resilience_on_ && !repl_on_) {
+        // Nothing bounds the acquire: a plain call waits its turn.
+        pool_config.acquire_timeout_us = 0.0;
+    } else if (pool_config.acquire_timeout_us <= 0.0 &&
+               config_.resilience.pool_acquire_timeout_s > 0.0) {
         // Saturation at the DB tier must propagate upstream as an
-        // error, not as an unbounded connection queue.
+        // error, and a failover blackout must shed load, not wedge
+        // connections.
         pool_config.acquire_timeout_us =
             config_.resilience.pool_acquire_timeout_s * 1e6;
     }
     if (resilience_on_ || repl_on_) {
-        // The sharded path always runs with attempt deadlines and a
-        // bounded pool wait: a failover blackout must shed load, not
-        // wedge connections.
+        // The sharded tier always runs with attempt deadlines and
+        // retries.
         double timeout_s = config_.resilience.db_timeout_s;
         if (timeout_s <= 0.0)
             timeout_s = 2.0;
         db_timeout_us_ = secs(timeout_s);
-        if (pool_config.acquire_timeout_us <= 0.0 &&
-            config_.resilience.pool_acquire_timeout_s > 0.0) {
-            pool_config.acquire_timeout_us =
-                config_.resilience.pool_acquire_timeout_s * 1e6;
-        }
+    } else {
+        // Nothing arms retries: a failed attempt settles the call, and
+        // allowRetry() refuses before it touches the budget.
+        RetryConfig once = config_.resilience.retry;
+        once.max_attempts = 1;
+        retry_ = RetryPolicy(once);
     }
     if (resilience_on_) {
         health_ = std::make_unique<HealthChecker>(
             config_.resilience.health, config_.nodes);
-        breaker_ = std::make_unique<CircuitBreaker>(
-            config_.resilience.breaker);
+        // Only the unsharded tier consults a breaker: a sharded tier
+        // fails fast per shard on its own blackouts.
+        if (!repl_on_) {
+            breaker_ = std::make_unique<CircuitBreaker>(
+                config_.resilience.breaker);
+        }
     }
     if (!config_.faults.empty()) {
         injector_ = std::make_unique<FaultInjector>(
@@ -139,7 +139,7 @@ ClusterUnderTest::ClusterUnderTest(
             [this](const FaultEvent &event) { applyFault(event); });
     }
 
-    // Parallel lane mode. v1 partitions the healthy legacy-DB path
+    // Parallel lane mode. v1 partitions the healthy unsharded tier
     // only: faults/resilience/recovery/replication all touch state
     // across components synchronously (probe ejection, breaker state,
     // shard generations), and a zero-latency fabric has no lookahead
@@ -206,18 +206,13 @@ ClusterUnderTest::start(SimTime end)
         for (std::size_t n = 0; n < nodes_.size(); ++n)
             queue_.scheduleAfter(interval, [this, n] { probeNode(n); });
     }
-    if (db_recovery_on_ &&
+    if (shards_.front()->recoveryArmed() &&
         config_.db_recovery.checkpoint_interval_s > 0.0) {
-        queue_.scheduleAfter(
-            secs(config_.db_recovery.checkpoint_interval_s),
-            [this] { checkpointTick(); });
-    }
-    if (repl_on_ && config_.db_recovery.checkpoint_interval_s > 0.0) {
-        // Shards always checkpoint: retention-mode WALs need the
+        // Armed shards checkpoint: retention-mode WALs need the
         // truncation pressure, and the floor keeps standbys safe.
         queue_.scheduleAfter(
             secs(config_.db_recovery.checkpoint_interval_s),
-            [this] { replCheckpointTick(); });
+            [this] { checkpointShards(); });
     }
     if (lease_on_) {
         // Heartbeat rounds start now; the lease monitor shares their
@@ -303,26 +298,6 @@ ClusterUnderTest::onNodeComplete(std::size_t node,
 }
 
 void
-ClusterUnderTest::dbBurst(double burst_us, std::function<void()> then)
-{
-    const double quantum = config_.db_quantum_us;
-    const SimTime now = queue_.now();
-    if (burst_us <= quantum) {
-        queue_.scheduleAt(
-            db_scheduler_.run(now, burst_us, Component::Db2).completion,
-            std::move(then));
-        return;
-    }
-    const SimTime slice_end =
-        db_scheduler_.run(now, quantum, Component::Db2).completion;
-    const double remaining = burst_us - quantum;
-    queue_.scheduleAt(slice_end,
-                      [this, remaining, then = std::move(then)]() mutable {
-                          dbBurst(remaining, std::move(then));
-                      });
-}
-
-void
 ClusterUnderTest::onNodeFailure(std::size_t node,
                                 const Request &request, SimTime at,
                                 ErrorKind kind)
@@ -334,277 +309,330 @@ ClusterUnderTest::onNodeFailure(std::size_t node,
                    kind);
 }
 
+// ---- the EJB->DB call pipeline ---------------------------------------
+//
+// Every call, on every tier shape, runs the same attempt pipeline:
+// start -> acquire -> deadline -> query -> execute -> burst -> disk
+// I/O -> response -> settle/retry. The optional stages were fixed at
+// construction: the pool's acquire bound (0 waits forever), the
+// per-attempt deadline (db_timeout_us_ > 0, measured from connection
+// grant, which also reclaims connections whose query or response was
+// lost on a degraded link or orphaned by a blackout), the breaker
+// (unsharded tier only), the retry policy (one attempt unless retries
+// are armed) and the group's lease. The tier shape itself (repl_on_)
+// is read only where the unsharded box and the sharded tier have
+// always behaved differently, each marked below.
+
 void
 ClusterUnderTest::remoteDb(std::size_t node, RequestType type,
                            double noise,
                            SystemUnderTest::DbDone done)
 {
-    if (repl_on_) {
-        startShardCall(node, type, noise, std::move(done));
-        return;
-    }
-    if (resilience_on_) {
-        auto call = std::make_shared<DbCall>();
-        call->node = node;
-        call->type = type;
-        call->noise = noise;
+    auto call = std::make_shared<DbCall>();
+    call->node = node;
+    call->type = type;
+    call->noise = noise;
+    // One shard needs no routing draw: the stream feeds nothing else,
+    // and in lane mode this runs on the node's lane.
+    if (shards_.size() > 1)
+        call->shard = shard_map_->shardOf(route_rng_());
+    repl::ShardGroup &group = *shards_[call->shard];
+    if (group.leaseArmed() && !group.draining()) {
+        // Drain accounting brackets the whole call (across retries):
+        // inflightEnd fires exactly when the call settles, whether
+        // with an ack or a final failure. Calls arriving mid-drain
+        // are not bracketed -- they fail fast with FailoverWait and
+        // never touch the shard, so counting them would let a steady
+        // arrival stream wedge the drain forever.
+        const std::size_t shard = call->shard;
+        group.inflightBegin();
+        call->done = [this, shard, done = std::move(done)](
+                         const TxnDbOutcome &outcome, ErrorKind kind) {
+            shards_[shard]->inflightEnd();
+            done(outcome, kind);
+        };
+    } else {
         call->done = std::move(done);
-        startDbAttempt(call);
-        return;
     }
-    if (adm_on_) {
-        // Backpressure: the pool acquire is bounded, so DB-tier
-        // saturation surfaces as a PoolTimeout error upstream
-        // instead of an unbounded connection queue. The shared done
-        // fires exactly once — the pool guarantees one callback.
-        auto shared_done = std::make_shared<SystemUnderTest::DbDone>(
-            std::move(done));
-        pools_[node]->acquire(
-            [this, node, type, noise, shared_done](SimTime ready) {
-                plainDbQuery(node, type, noise,
-                             std::move(*shared_done), ready);
-            },
-            [shared_done](SimTime) {
-                (*shared_done)(TxnDbOutcome{},
-                               ErrorKind::PoolTimeout);
-            });
-        return;
-    }
-    // JDBC-style: hold a pooled connection for the whole round trip.
-    pools_[node]->acquire([this, node, type, noise,
-                           done = std::move(done)](SimTime ready) {
-        plainDbQuery(node, type, noise, std::move(done), ready);
-    });
+    startAttempt(call);
+}
+
+ErrorKind
+ClusterUnderTest::outageKind(std::size_t shard) const
+{
+    // Difference point: the unsharded box tells a dead tier from one
+    // replaying its WAL; a sharded tier reports every blackout
+    // (failover, the replay fallback, a drain) as FailoverWait.
+    if (repl_on_)
+        return ErrorKind::FailoverWait;
+    return shard_outages_[shard].recovering ? ErrorKind::RecoveryWait
+                                            : ErrorKind::NodeDown;
 }
 
 void
-ClusterUnderTest::plainDbQuery(std::size_t node, RequestType type,
-                               double noise,
-                               SystemUnderTest::DbDone done,
-                               SimTime ready)
+ClusterUnderTest::startAttempt(const std::shared_ptr<DbCall> &call)
 {
-    const SimTime at_db = fabric_.nodeDb(node).deliver(
-        ready, static_cast<std::uint64_t>(config_.query_bytes));
-    // The query leaves the node's lane for the DB tier (lane 0).
-    const lane::ToLane to_db(0);
-    queue_.scheduleAt(at_db, [this, node, type, noise,
-                              done = std::move(done)]() mutable {
-        auto outcome = std::make_shared<TxnDbOutcome>(
-            db_app_->runTransaction(type));
-        const double burst =
-            txnProfile(type).db_us * noise + outcome->cost.cpu_us;
-        dbBurst(burst, [this, node, outcome,
-                        done = std::move(done)]() mutable {
-            finishDbTransaction(node, std::move(outcome),
-                                std::move(done));
-        });
-    });
-}
-
-SimTime
-ClusterUnderTest::dbDiskIo(const TxnDbOutcome &outcome, SimTime now)
-{
-    SimTime io_done = now;
-    if (outcome.cost.pages_read > 0) {
-        const IoResult io = db_disk_.read(
-            now, static_cast<std::uint32_t>(outcome.cost.pages_read));
-        db_disk_blocked_us_ += io.completion - now;
-        io_done = io.completion;
-    }
-    if (outcome.cost.writebacks > 0) {
-        // Asynchronous page cleaning: charge the disk, not the txn.
-        db_disk_.write(now, outcome.cost.writebacks * 4096);
-    }
-    if (outcome.cost.log_bytes_forced > 0) {
-        const IoResult io =
-            db_disk_.write(io_done, outcome.cost.log_bytes_forced);
-        db_disk_blocked_us_ += io.completion - io_done;
-        io_done = io.completion;
-    }
-    if (db_recovery_on_ && outcome.wal_issued_lsn > 0) {
-        // The force becomes durable when its write completes; a crash
-        // before then loses the tail. The epoch guard drops confirms
-        // that were in flight when the DB died.
-        const std::uint64_t issued = outcome.wal_issued_lsn;
-        const std::uint64_t epoch = db_epoch_;
-        queue_.scheduleAt(io_done, [this, issued, epoch] {
-            if (epoch == db_epoch_ && !db_down_)
-                db_app_->database().confirmWalDurable(issued);
-        });
-    }
-    return io_done;
-}
-
-void
-ClusterUnderTest::finishDbTransaction(
-    std::size_t node, std::shared_ptr<TxnDbOutcome> outcome,
-    SystemUnderTest::DbDone done)
-{
-    const SimTime io_done = dbDiskIo(*outcome, queue_.now());
-
-    // Response crosses back to the node; the connection frees once
-    // the response has arrived and the EJB tier resumes.
-    const SimTime at_node = fabric_.nodeDb(node).deliver(
-        io_done,
-        static_cast<std::uint64_t>(config_.db_response_bytes),
-        NetworkLink::Direction::Reverse);
-    // The response returns to the node's lane, where the connection
-    // frees and the EJB tier resumes.
-    const lane::ToLane to_node(nodeLane(node));
-    queue_.scheduleAt(at_node, [this, node, outcome,
-                                done = std::move(done)] {
-        pools_[node]->release();
-        done(*outcome, ErrorKind::None);
-    });
-}
-
-// ---- resilient EJB->DB path ----------------------------------------
-//
-// Only reached when resilience_on_: attempts pass the circuit
-// breaker, bound their pool wait, arm a per-attempt deadline from the
-// moment the connection is granted (which also reclaims connections
-// whose query or response was lost on a degraded link), and retry
-// with deterministic exponential backoff until the budget runs out.
-
-void
-ClusterUnderTest::startDbAttempt(const std::shared_ptr<DbCall> &call)
-{
-    if (db_down_ || db_recovering_) {
-        // Fail fast: the cluster knows the DB tier is off. Not a
-        // breaker failure -- this is a known outage, not a timeout.
-        settleDbFailure(call,
-                        db_recovering_ ? ErrorKind::RecoveryWait
-                                       : ErrorKind::NodeDown,
-                        /*breaker_failure=*/false);
+    const repl::ShardGroup &group = *shards_[call->shard];
+    if (group.down() || group.draining()) {
+        // Fail fast: the shard is blacked out (crashed, replaying its
+        // WAL, or failing over) or draining for a planned switchover.
+        settleFailure(call, outageKind(call->shard));
         return;
     }
     if (fabric_.partitioned() &&
-        !fabric_.reachable(NetEndpoint::node(call->node),
-                           NetEndpoint::dbPrimary(0))) {
-        // Legacy single-box tier: `db0` names the shared DB node. A
-        // node cut off from it fails fast, and not as a breaker
-        // failure -- the partition is a known condition, not a
-        // timeout worth tripping on.
+        !nodeReachesShard(call->node, call->shard)) {
+        // The partition map cuts this node off from the member
+        // serving the shard: the send fails fast, no wire traffic.
         fabric_.notePartitionDrop();
-        settleDbFailure(call, ErrorKind::Partitioned,
-                        /*breaker_failure=*/false);
+        settleFailure(call, ErrorKind::Partitioned);
         return;
     }
-    if (!breaker_->allowRequest(queue_.now())) {
-        settleDbFailure(call, ErrorKind::DbCircuitOpen,
-                        /*breaker_failure=*/false);
+    if (breaker_ && !breaker_->allowRequest(queue_.now())) {
+        settleFailure(call, ErrorKind::DbCircuitOpen);
         return;
     }
-    // Every allowed attempt settles the breaker exactly once: a pool
-    // timeout counts as a failure (an exhausted pool usually means
-    // the DB tier is the thing that is slow).
+    // JDBC-style: the attempt holds a pooled connection for the whole
+    // round trip.
     pools_[call->node]->acquire(
-        [this, call](SimTime ready) { runDbAttempt(call, ready); },
+        [this, call](SimTime ready) { sendQuery(call, ready); },
         [this, call](SimTime) {
-            settleDbFailure(call, ErrorKind::PoolTimeout,
-                            /*breaker_failure=*/true);
+            settleFailure(call, ErrorKind::PoolTimeout);
         });
 }
 
 void
-ClusterUnderTest::runDbAttempt(const std::shared_ptr<DbCall> &call,
-                               SimTime ready)
+ClusterUnderTest::sendQuery(const std::shared_ptr<DbCall> &call,
+                            SimTime ready)
 {
-    const std::size_t node = call->node;
     auto settled = std::make_shared<bool>(false);
+    if (db_timeout_us_ > 0) {
+        // Firing first means the query or its response is lost or
+        // late: tear the connection down (freeing the slot) and fail
+        // the attempt.
+        queue_.scheduleAt(ready + db_timeout_us_, [this, call, settled] {
+            if (*settled)
+                return;
+            *settled = true;
+            pools_[call->node]->release();
+            settleFailure(call, ErrorKind::DbTimeout);
+        });
+    }
 
-    // Per-attempt deadline, measured from connection grant. Firing
-    // first means the query or its response is lost or late: tear
-    // the connection down (freeing the slot) and fail the attempt.
-    queue_.scheduleAt(ready + db_timeout_us_, [this, call, settled] {
-        if (*settled)
-            return;
-        *settled = true;
-        pools_[call->node]->release();
-        settleDbFailure(call, ErrorKind::DbTimeout,
-                        /*breaker_failure=*/true);
-    });
-
-    NetworkLink &link = fabric_.nodeDb(node);
+    NetworkLink &link = fabric_.nodeDb(call->node);
     const bool lost = link.drawDrop();
     const SimTime at_db = link.deliver(
         ready, static_cast<std::uint64_t>(config_.query_bytes));
     if (lost)
         return; // query vanished on the wire; the deadline cleans up
+    // The query leaves the node's lane for the DB tier (lane 0).
+    const lane::ToLane to_db(0);
     queue_.scheduleAt(at_db, [this, call, settled] {
-        if (*settled)
-            return;
-        if (db_down_ || db_recovering_) {
-            // The DB died while the query was on the wire.
-            *settled = true;
-            pools_[call->node]->release();
-            settleDbFailure(call,
-                            db_recovering_ ? ErrorKind::RecoveryWait
-                                           : ErrorKind::NodeDown,
-                            /*breaker_failure=*/false);
-            return;
-        }
-        if (fabric_.partitioned() &&
-            !fabric_.reachable(NetEndpoint::node(call->node),
-                               NetEndpoint::dbPrimary(0))) {
-            // The fabric split while the query was on the wire.
-            *settled = true;
-            pools_[call->node]->release();
-            fabric_.notePartitionDrop();
-            settleDbFailure(call, ErrorKind::Partitioned,
-                            /*breaker_failure=*/false);
-            return;
-        }
-        call->epoch = db_epoch_;
-        auto outcome = std::make_shared<TxnDbOutcome>(
-            db_app_->runTransaction(call->type));
-        if (db_recovery_on_ && outcome->audit_token != 0)
-            auditor_.noteCommitted(outcome->audit_token,
-                                   outcome->commit_lsn);
-        const double burst = txnProfile(call->type).db_us * call->noise +
-            outcome->cost.cpu_us;
-        dbBurst(burst, [this, call, settled, outcome] {
-            finishDbAttempt(call, settled, outcome);
-        });
+        executeQuery(call, settled);
     });
 }
 
 void
-ClusterUnderTest::finishDbAttempt(
-    const std::shared_ptr<DbCall> &call,
-    const std::shared_ptr<bool> &settled,
-    const std::shared_ptr<TxnDbOutcome> &outcome)
+ClusterUnderTest::executeQuery(const std::shared_ptr<DbCall> &call,
+                               const Settled &settled)
 {
-    const SimTime io_done = dbDiskIo(*outcome, queue_.now());
+    if (*settled)
+        return;
+    repl::ShardGroup &group = *shards_[call->shard];
+    if (group.down()) {
+        // The shard went down while the query was on the wire.
+        *settled = true;
+        pools_[call->node]->release();
+        settleFailure(call, outageKind(call->shard));
+        return;
+    }
+    if (fabric_.partitioned() &&
+        !nodeReachesShard(call->node, call->shard)) {
+        // The fabric split while the query was on the wire.
+        *settled = true;
+        pools_[call->node]->release();
+        fabric_.notePartitionDrop();
+        settleFailure(call, ErrorKind::Partitioned);
+        return;
+    }
+    call->generation = group.generation();
+    auto outcome = std::make_shared<TxnDbOutcome>(
+        group.application().runTransaction(call->type));
+    if (outcome->audit_token != 0)
+        group.auditor().noteCommitted(outcome->audit_token,
+                                      outcome->commit_lsn);
+    const double burst = txnProfile(call->type).db_us * call->noise +
+        outcome->cost.cpu_us;
+    shardBurst(call->shard, burst, [this, call, settled, outcome] {
+        finishQuery(call, settled, outcome);
+    });
+}
 
+void
+ClusterUnderTest::shardBurst(std::size_t shard, double burst_us,
+                             std::function<void()> then)
+{
+    const double quantum = config_.db_quantum_us;
+    const SimTime now = queue_.now();
+    CpuScheduler &sched = shards_[shard]->scheduler();
+    if (burst_us <= quantum) {
+        queue_.scheduleAt(
+            sched.run(now, burst_us, Component::Db2).completion,
+            std::move(then));
+        return;
+    }
+    const SimTime slice_end =
+        sched.run(now, quantum, Component::Db2).completion;
+    const double remaining = burst_us - quantum;
+    queue_.scheduleAt(
+        slice_end,
+        [this, shard, remaining, then = std::move(then)]() mutable {
+            shardBurst(shard, remaining, std::move(then));
+        });
+}
+
+void
+ClusterUnderTest::finishQuery(const std::shared_ptr<DbCall> &call,
+                              const Settled &settled,
+                              const Outcome &outcome)
+{
+    repl::ShardGroup &group = *shards_[call->shard];
+    // Difference point: a sharded call cut off by a blackout is
+    // dropped here, before it charges the disk. The unsharded box
+    // charges the disk and sends the response, and the call is
+    // dropped only when the response arrives.
+    if (repl_on_ && call->generation != group.generation())
+        return; // the per-attempt deadline reclaims the slot
+
+    // Charge the shard's own disk: reads, async page cleaning, and
+    // the commit's log force.
+    const SimTime now = queue_.now();
+    SimTime io_done = now;
+    if (outcome->cost.pages_read > 0) {
+        const IoResult io = group.disk().read(
+            now, static_cast<std::uint32_t>(outcome->cost.pages_read));
+        db_disk_blocked_us_ += io.completion - now;
+        io_done = io.completion;
+    }
+    if (outcome->cost.writebacks > 0) {
+        // Asynchronous page cleaning: charge the disk, not the txn.
+        group.disk().write(now, outcome->cost.writebacks * 4096);
+    }
+    if (outcome->cost.log_bytes_forced > 0) {
+        const IoResult io =
+            group.disk().write(io_done, outcome->cost.log_bytes_forced);
+        db_disk_blocked_us_ += io.completion - io_done;
+        io_done = io.completion;
+    }
+
+    if (outcome->wal_issued_lsn > 0) {
+        // The force is durable when its write lands; that same moment
+        // the window ships to every replica stream.
+        const std::uint64_t issued = outcome->wal_issued_lsn;
+        const std::uint64_t bytes = outcome->cost.log_bytes_forced;
+        const std::uint64_t gen = group.generation();
+        const std::size_t shard = call->shard;
+        queue_.scheduleAt(io_done, [this, shard, issued, bytes, gen] {
+            confirmForce(shard, issued, bytes, gen);
+        });
+    }
+
+    // Difference point: the unsharded box hands its response to the
+    // link now, stamped io_done; the sharded tier sends it from an
+    // event at io_done, after any sync-ack wait. Either change would
+    // reorder link deliveries and the run's event count.
+    if (!repl_on_) {
+        sendResponse(call, settled, outcome, io_done);
+        return;
+    }
+    if (group.syncMode() && group.replicaCount() > 0 &&
+        outcome->wal_issued_lsn > 0) {
+        // Sync replication: the response leaves only once a replica
+        // holds the commit durably. Registered after the ship event
+        // above (FIFO at io_done), so the waiter sees the pre-ship
+        // watermark and fires on the replica's force completion.
+        queue_.scheduleAt(io_done, [this, call, settled, outcome] {
+            repl::ShardGroup &g = *shards_[call->shard];
+            if (*settled || call->generation != g.generation())
+                return;
+            g.whenAckDurable(outcome->wal_issued_lsn,
+                             [this, call, settled, outcome] {
+                                 releaseResponse(call, settled,
+                                                 outcome);
+                             });
+        });
+        return;
+    }
+    queue_.scheduleAt(io_done, [this, call, settled, outcome] {
+        releaseResponse(call, settled, outcome);
+    });
+}
+
+void
+ClusterUnderTest::releaseResponse(const std::shared_ptr<DbCall> &call,
+                                  const Settled &settled,
+                                  const Outcome &outcome)
+{
+    if (*settled)
+        return;
+    const repl::ShardGroup &group = *shards_[call->shard];
+    if (call->generation != group.generation())
+        return;
+    if (group.leaseArmed()) {
+        // A member that cannot prove its lease must not ack: the
+        // response is withheld and the attempt deadline reclaims the
+        // slot. Same if the partition cut the response path.
+        if (!group.leaseValid())
+            return;
+        if (fabric_.partitioned() &&
+            !nodeReachesShard(call->node, call->shard)) {
+            fabric_.notePartitionDrop();
+            return;
+        }
+    }
+    sendResponse(call, settled, outcome, queue_.now());
+}
+
+void
+ClusterUnderTest::sendResponse(const std::shared_ptr<DbCall> &call,
+                               const Settled &settled,
+                               const Outcome &outcome, SimTime send_at)
+{
     NetworkLink &link = fabric_.nodeDb(call->node);
     const bool lost = link.drawDrop();
     const SimTime at_node = link.deliver(
-        io_done,
-        static_cast<std::uint64_t>(config_.db_response_bytes),
+        send_at, static_cast<std::uint64_t>(config_.db_response_bytes),
         NetworkLink::Direction::Reverse);
     if (lost)
         return; // response vanished; the deadline cleans up
+    // The response returns to the node's lane, where the connection
+    // frees and the EJB tier resumes.
+    const lane::ToLane to_node(nodeLane(call->node));
     queue_.scheduleAt(at_node, [this, call, settled, outcome] {
         if (*settled)
             return; // deadline already reclaimed the connection
-        if (db_recovery_on_ && call->epoch != db_epoch_)
-            return; // DB crashed under this txn; never ack it --
+        repl::ShardGroup &group = *shards_[call->shard];
+        if (call->generation != group.generation())
+            return; // the shard crashed under this txn; never ack it --
                     // the per-attempt deadline reclaims the slot
         *settled = true;
         pools_[call->node]->release();
-        breaker_->recordSuccess(queue_.now());
-        if (db_recovery_on_ && outcome->audit_token != 0)
-            auditor_.noteAcked(outcome->audit_token);
+        if (breaker_)
+            breaker_->recordSuccess(queue_.now());
+        if (outcome->audit_token != 0)
+            group.auditor().noteAcked(outcome->audit_token);
         call->done(*outcome, ErrorKind::None);
     });
 }
 
 void
-ClusterUnderTest::settleDbFailure(const std::shared_ptr<DbCall> &call,
-                                  ErrorKind kind, bool breaker_failure)
+ClusterUnderTest::settleFailure(const std::shared_ptr<DbCall> &call,
+                                ErrorKind kind)
 {
-    if (breaker_failure)
+    // Only timeouts count against the breaker (an exhausted pool
+    // usually means the DB tier is the thing that is slow); known
+    // outages, partitions and its own rejections do not.
+    if (breaker_ &&
+        (kind == ErrorKind::PoolTimeout || kind == ErrorKind::DbTimeout))
         breaker_->recordFailure(queue_.now());
     if (retry_.allowRetry(call->attempt, queue_.now())) {
         tracker_.recordRetry(kind);
@@ -612,14 +640,14 @@ ClusterUnderTest::settleDbFailure(const std::shared_ptr<DbCall> &call,
             retry_.backoffUs(call->attempt, retry_rng_);
         ++call->attempt;
         queue_.scheduleAfter(backoff,
-                             [this, call] { startDbAttempt(call); });
+                             [this, call] { startAttempt(call); });
         return;
     }
-    // RecoveryWait and Partitioned stay visible through retries: the
-    // error table should attribute the failure to recovery / the
-    // split, not to the retry budget.
+    // Outages and partitions stay visible through retries: the error
+    // table should attribute the failure to recovery / the blackout /
+    // the split, not to the retry budget.
     const bool attributable = kind == ErrorKind::RecoveryWait ||
-        kind == ErrorKind::Partitioned;
+        kind == ErrorKind::FailoverWait || kind == ErrorKind::Partitioned;
     call->done(TxnDbOutcome{},
                call->attempt > 1 && !attributable
                    ? ErrorKind::DbRetriesExhausted
@@ -680,22 +708,14 @@ ClusterUnderTest::applyFault(const FaultEvent &event)
         return;
       }
       case FaultKind::DbSlow: {
-        if (repl_on_) {
-            for (auto &group : shards_)
-                group->disk().setServiceMultiplier(event.disk_mult);
-        } else {
-            db_disk_.setServiceMultiplier(event.disk_mult);
-        }
+        for (auto &group : shards_)
+            group->disk().setServiceMultiplier(event.disk_mult);
         tracker_.noteDegraded(
             now, event.duration > 0 ? now + event.duration : 0);
         if (event.duration > 0) {
             queue_.scheduleAfter(event.duration, [this] {
-                if (repl_on_) {
-                    for (auto &group : shards_)
-                        group->disk().setServiceMultiplier(1.0);
-                } else {
-                    db_disk_.setServiceMultiplier(1.0);
-                }
+                for (auto &group : shards_)
+                    group->disk().setServiceMultiplier(1.0);
             });
         }
         return;
@@ -710,7 +730,10 @@ ClusterUnderTest::applyFault(const FaultEvent &event)
             applyShardFault(event);
             return;
         }
-        crashDbTier(event);
+        // The unsharded box is the whole tier: shard= and replica=
+        // targets do not apply to it.
+        crashShard(0, event.kind == FaultKind::DbTornWrite,
+                   event.restart_after);
         return;
       }
       case FaultKind::Partition: {
@@ -913,407 +936,7 @@ ClusterUnderTest::leaseMonitorTick()
         [this] { leaseMonitorTick(); });
 }
 
-// ---- DB crash consistency -------------------------------------------
-
-void
-ClusterUnderTest::checkpointTick()
-{
-    if (db_recovery_on_ && !db_down_ && !db_recovering_) {
-        const CheckpointStats stats = db_app_->database().checkpoint();
-        ++checkpoints_;
-        checkpoint_pages_ += stats.pages_flushed;
-        const std::uint64_t bytes =
-            stats.pages_flushed * 4096 + stats.log_bytes_forced;
-        if (bytes > 0) {
-            // The checkpoint's force becomes durable when its write
-            // lands (epoch-guarded like every confirm).
-            const std::uint64_t issued =
-                db_app_->database().wal().issuedLsn();
-            const std::uint64_t epoch = db_epoch_;
-            const IoResult io = db_disk_.write(queue_.now(), bytes);
-            queue_.scheduleAt(io.completion, [this, issued, epoch] {
-                if (epoch == db_epoch_ && !db_down_)
-                    db_app_->database().confirmWalDurable(issued);
-            });
-        }
-    }
-    queue_.scheduleAfter(
-        secs(config_.db_recovery.checkpoint_interval_s),
-        [this] { checkpointTick(); });
-}
-
-void
-ClusterUnderTest::crashDbTier(const FaultEvent &event)
-{
-    if (!db_recovery_on_ || db_down_ || db_recovering_)
-        return; // already down; a second crash is a no-op
-    ++db_epoch_;
-    ++db_crashes_;
-    db_down_ = true;
-    db_crash_at_ = queue_.now();
-    db_app_->database().crash(event.kind == FaultKind::DbTornWrite);
-
-    // Tell the auditor which Commit records the crash preserved:
-    // those still retained plus everything a checkpoint already
-    // truncated as durable.
-    std::unordered_set<std::uint64_t> surviving;
-    for (const WalRecord &rec : db_app_->database().wal().records()) {
-        if (rec.type == WalRecordType::Commit)
-            surviving.insert(rec.lsn);
-    }
-    auditor_.noteCrash(surviving,
-                       db_app_->database().wal().truncatedUpTo());
-
-    if (event.restart_after > 0) {
-        queue_.scheduleAfter(event.restart_after,
-                             [this] { beginDbRecovery(); });
-    }
-}
-
-void
-ClusterUnderTest::beginDbRecovery()
-{
-    assert(db_down_ && !db_recovering_);
-    db_down_ = false;
-    db_recovering_ = true;
-    last_recovery_ = db_app_->database().recover();
-
-    // Recovery takes simulated time: scan the retained WAL (one
-    // sequential read), fetch every touched stable page (random
-    // reads -- a seek each on a spinning device), write the recovery
-    // checkpoint, then burn DB CPU replaying. The tier stays out of
-    // rotation (RecoveryWait) until all of it ends.
-    const SimTime now = queue_.now();
-    db_restart_at_ = now;
-    SimTime io_done = now;
-    if (last_recovery_.replay_bytes > 0) {
-        io_done =
-            db_disk_.readSequential(now, last_recovery_.replay_bytes)
-                .completion;
-    }
-    if (last_recovery_.pages_flushed > 0) {
-        io_done = db_disk_
-                      .read(io_done, static_cast<std::uint32_t>(
-                                         last_recovery_.pages_flushed))
-                      .completion;
-    }
-    const std::uint64_t ckpt_bytes =
-        last_recovery_.pages_flushed * 4096 +
-        last_recovery_.checkpoint_bytes;
-    if (ckpt_bytes > 0)
-        io_done = db_disk_.write(io_done, ckpt_bytes).completion;
-
-    const double replay_cpu = 1.0 +
-        static_cast<double>(last_recovery_.redo_records) * 1.2 +
-        static_cast<double>(last_recovery_.undo_records) * 2.0;
-    queue_.scheduleAt(io_done, [this, replay_cpu] {
-        dbBurst(replay_cpu, [this] { finishDbRecovery(); });
-    });
-}
-
-void
-ClusterUnderTest::finishDbRecovery()
-{
-    assert(db_recovering_);
-    db_recovering_ = false;
-    const SimTime now = queue_.now();
-    db_replay_us_ += now - db_restart_at_;
-    tracker_.noteDegraded(db_crash_at_, now);
-    tracker_.noteDbRecovery(db_crash_at_, now);
-    // The recovery checkpoint's write is covered by the I/O recovery
-    // just charged, so its force is durable by construction here.
-    db_app_->database().confirmWalDurable(
-        db_app_->database().wal().issuedLsn());
-    if (db_app_->auditEnabled()) {
-        last_audit_ =
-            auditor_.audit(db_app_->database(), db_app_->auditTable());
-        audited_ = true;
-    }
-}
-
-// ---- sharded / replicated DB tier (jasim::repl) ---------------------
-//
-// Only reached when repl_on_: every EJB->DB call draws a routing key,
-// lands on the owning shard group, and runs with the resilient-path
-// discipline (bounded pool wait, per-attempt deadline, deterministic
-// retry backoff). A blacked-out shard fails fast with FailoverWait;
-// in-flight completions are dropped by the generation guard, exactly
-// like the legacy path's epoch guard.
-
-void
-ClusterUnderTest::startShardCall(std::size_t node, RequestType type,
-                                 double noise,
-                                 SystemUnderTest::DbDone done)
-{
-    auto call = std::make_shared<DbCall>();
-    call->node = node;
-    call->type = type;
-    call->noise = noise;
-    call->shard = shard_map_->shardOf(route_rng_());
-    if (lease_on_ && !shards_[call->shard]->draining()) {
-        // Drain accounting brackets the whole call (across retries):
-        // inflightEnd fires exactly when the call settles, whether
-        // with an ack or a final failure. Calls arriving mid-drain
-        // are not bracketed -- they fail fast with FailoverWait and
-        // never touch the shard, so counting them would let a steady
-        // arrival stream wedge the drain forever.
-        const std::size_t shard = call->shard;
-        shards_[shard]->inflightBegin();
-        call->done = [this, shard, done = std::move(done)](
-                         const TxnDbOutcome &outcome, ErrorKind kind) {
-            shards_[shard]->inflightEnd();
-            done(outcome, kind);
-        };
-    } else {
-        call->done = std::move(done);
-    }
-    startShardAttempt(call);
-}
-
-void
-ClusterUnderTest::startShardAttempt(
-    const std::shared_ptr<DbCall> &call)
-{
-    if (shards_[call->shard]->down() ||
-        shards_[call->shard]->draining()) {
-        // Fail fast: the shard is blacked out (failing over, or down
-        // replaying its WAL on the unreplicated fallback) or draining
-        // for a planned switchover.
-        settleShardFailure(call, ErrorKind::FailoverWait);
-        return;
-    }
-    if (lease_on_ && fabric_.partitioned() &&
-        !nodeReachesShard(call->node, call->shard)) {
-        // The partition map cuts this node off from the member
-        // serving the shard: the send fails fast, no wire traffic.
-        fabric_.notePartitionDrop();
-        settleShardFailure(call, ErrorKind::Partitioned);
-        return;
-    }
-    pools_[call->node]->acquire(
-        [this, call](SimTime ready) { runShardAttempt(call, ready); },
-        [this, call](SimTime) {
-            settleShardFailure(call, ErrorKind::PoolTimeout);
-        });
-}
-
-void
-ClusterUnderTest::runShardAttempt(const std::shared_ptr<DbCall> &call,
-                                  SimTime ready)
-{
-    auto settled = std::make_shared<bool>(false);
-
-    // Per-attempt deadline from connection grant; it also reclaims
-    // connections orphaned by a mid-flight blackout or a lost packet.
-    queue_.scheduleAt(ready + db_timeout_us_, [this, call, settled] {
-        if (*settled)
-            return;
-        *settled = true;
-        pools_[call->node]->release();
-        settleShardFailure(call, ErrorKind::DbTimeout);
-    });
-
-    NetworkLink &link = fabric_.nodeDb(call->node);
-    const bool lost = link.drawDrop();
-    const SimTime at_db = link.deliver(
-        ready, static_cast<std::uint64_t>(config_.query_bytes));
-    if (lost)
-        return; // query vanished on the wire; the deadline cleans up
-    queue_.scheduleAt(at_db, [this, call, settled] {
-        if (*settled)
-            return;
-        repl::ShardGroup &group = *shards_[call->shard];
-        if (group.down()) {
-            // The primary died while the query was on the wire.
-            *settled = true;
-            pools_[call->node]->release();
-            settleShardFailure(call, ErrorKind::FailoverWait);
-            return;
-        }
-        if (lease_on_ && fabric_.partitioned() &&
-            !nodeReachesShard(call->node, call->shard)) {
-            // The fabric split while the query was on the wire.
-            *settled = true;
-            pools_[call->node]->release();
-            fabric_.notePartitionDrop();
-            settleShardFailure(call, ErrorKind::Partitioned);
-            return;
-        }
-        call->generation = group.generation();
-        auto outcome = std::make_shared<TxnDbOutcome>(
-            group.application().runTransaction(call->type));
-        if (outcome->audit_token != 0)
-            group.auditor().noteCommitted(outcome->audit_token,
-                                          outcome->commit_lsn);
-        const double burst = txnProfile(call->type).db_us * call->noise +
-            outcome->cost.cpu_us;
-        shardBurst(call->shard, burst, [this, call, settled, outcome] {
-            finishShardAttempt(call, settled, outcome);
-        });
-    });
-}
-
-void
-ClusterUnderTest::shardBurst(std::size_t shard, double burst_us,
-                             std::function<void()> then)
-{
-    const double quantum = config_.db_quantum_us;
-    const SimTime now = queue_.now();
-    CpuScheduler &sched = shards_[shard]->scheduler();
-    if (burst_us <= quantum) {
-        queue_.scheduleAt(
-            sched.run(now, burst_us, Component::Db2).completion,
-            std::move(then));
-        return;
-    }
-    const SimTime slice_end =
-        sched.run(now, quantum, Component::Db2).completion;
-    const double remaining = burst_us - quantum;
-    queue_.scheduleAt(
-        slice_end,
-        [this, shard, remaining, then = std::move(then)]() mutable {
-            shardBurst(shard, remaining, std::move(then));
-        });
-}
-
-void
-ClusterUnderTest::finishShardAttempt(
-    const std::shared_ptr<DbCall> &call,
-    const std::shared_ptr<bool> &settled,
-    const std::shared_ptr<TxnDbOutcome> &outcome)
-{
-    repl::ShardGroup &group = *shards_[call->shard];
-    if (call->generation != group.generation())
-        return; // shard blacked out under this txn; never ack it --
-                // the per-attempt deadline reclaims the slot
-
-    // Charge the shard's own disk: reads, async page cleaning, and
-    // the commit's log force.
-    const SimTime now = queue_.now();
-    SimTime io_done = now;
-    if (outcome->cost.pages_read > 0) {
-        const IoResult io = group.disk().read(
-            now, static_cast<std::uint32_t>(outcome->cost.pages_read));
-        db_disk_blocked_us_ += io.completion - now;
-        io_done = io.completion;
-    }
-    if (outcome->cost.writebacks > 0)
-        group.disk().write(now, outcome->cost.writebacks * 4096);
-    if (outcome->cost.log_bytes_forced > 0) {
-        const IoResult io =
-            group.disk().write(io_done, outcome->cost.log_bytes_forced);
-        db_disk_blocked_us_ += io.completion - io_done;
-        io_done = io.completion;
-    }
-
-    if (outcome->wal_issued_lsn > 0) {
-        // The force is durable when its write lands; that same moment
-        // the window ships to every replica stream.
-        const std::uint64_t issued = outcome->wal_issued_lsn;
-        const std::uint64_t bytes = outcome->cost.log_bytes_forced;
-        const std::uint64_t gen = call->generation;
-        const std::size_t shard = call->shard;
-        queue_.scheduleAt(io_done, [this, shard, issued, bytes, gen] {
-            repl::ShardGroup &g = *shards_[shard];
-            if (gen != g.generation() || g.down())
-                return;
-            g.database().confirmWalDurable(issued);
-            g.shipForced(issued, bytes);
-        });
-    }
-
-    if (group.syncMode() && group.replicaCount() > 0 &&
-        outcome->wal_issued_lsn > 0) {
-        // Sync replication: the response leaves only once a replica
-        // holds the commit durably. Registered after the ship event
-        // above (FIFO at io_done), so the waiter sees the pre-ship
-        // watermark and fires on the replica's force completion.
-        queue_.scheduleAt(io_done, [this, call, settled, outcome] {
-            repl::ShardGroup &g = *shards_[call->shard];
-            if (*settled || call->generation != g.generation())
-                return;
-            g.whenAckDurable(outcome->wal_issued_lsn,
-                             [this, call, settled, outcome] {
-                                 sendShardResponse(call, settled,
-                                                   outcome);
-                             });
-        });
-        return;
-    }
-    queue_.scheduleAt(io_done, [this, call, settled, outcome] {
-        sendShardResponse(call, settled, outcome);
-    });
-}
-
-void
-ClusterUnderTest::sendShardResponse(
-    const std::shared_ptr<DbCall> &call,
-    const std::shared_ptr<bool> &settled,
-    const std::shared_ptr<TxnDbOutcome> &outcome)
-{
-    if (*settled)
-        return;
-    if (call->generation != shards_[call->shard]->generation())
-        return;
-    if (lease_on_) {
-        // A member that cannot prove its lease must not ack: the
-        // response is withheld and the attempt deadline reclaims the
-        // slot. Same if the partition cut the response path.
-        if (!shards_[call->shard]->leaseValid())
-            return;
-        if (fabric_.partitioned() &&
-            !nodeReachesShard(call->node, call->shard)) {
-            fabric_.notePartitionDrop();
-            return;
-        }
-    }
-    NetworkLink &link = fabric_.nodeDb(call->node);
-    const bool lost = link.drawDrop();
-    const SimTime at_node = link.deliver(
-        queue_.now(),
-        static_cast<std::uint64_t>(config_.db_response_bytes),
-        NetworkLink::Direction::Reverse);
-    if (lost)
-        return; // response vanished; the deadline cleans up
-    queue_.scheduleAt(at_node, [this, call, settled, outcome] {
-        if (*settled)
-            return;
-        repl::ShardGroup &group = *shards_[call->shard];
-        if (call->generation != group.generation())
-            return;
-        *settled = true;
-        pools_[call->node]->release();
-        if (outcome->audit_token != 0)
-            group.auditor().noteAcked(outcome->audit_token);
-        call->done(*outcome, ErrorKind::None);
-    });
-}
-
-void
-ClusterUnderTest::settleShardFailure(
-    const std::shared_ptr<DbCall> &call, ErrorKind kind)
-{
-    if (retry_.allowRetry(call->attempt, queue_.now())) {
-        tracker_.recordRetry(kind);
-        const SimTime backoff =
-            retry_.backoffUs(call->attempt, retry_rng_);
-        ++call->attempt;
-        queue_.scheduleAfter(
-            backoff, [this, call] { startShardAttempt(call); });
-        return;
-    }
-    // FailoverWait and Partitioned stay visible through retries, like
-    // RecoveryWait on the legacy path: attribute the failure to the
-    // blackout / the split, not to the retry budget.
-    const bool attributable = kind == ErrorKind::FailoverWait ||
-        kind == ErrorKind::Partitioned;
-    call->done(TxnDbOutcome{},
-               call->attempt > 1 && !attributable
-                   ? ErrorKind::DbRetriesExhausted
-                   : kind);
-}
-
-// ---- repl-mode faults & checkpoints ---------------------------------
+// ---- DB faults & checkpoints ----------------------------------------
 
 void
 ClusterUnderTest::applyShardFault(const FaultEvent &event)
@@ -1353,13 +976,13 @@ ClusterUnderTest::applyShardFault(const FaultEvent &event)
         return;
     // No replica to promote: blocking crash + ARIES recovery, scoped
     // to this shard. The other shards keep serving.
-    crashShardTier(shard, event.kind == FaultKind::DbTornWrite,
-                   event.restart_after);
+    crashShard(shard, event.kind == FaultKind::DbTornWrite,
+               event.restart_after);
 }
 
 void
-ClusterUnderTest::crashShardTier(std::size_t shard, bool torn,
-                                 SimTime restart_after)
+ClusterUnderTest::crashShard(std::size_t shard, bool torn,
+                             SimTime restart_after)
 {
     repl::ShardGroup &group = *shards_[shard];
     if (group.down())
@@ -1369,6 +992,9 @@ ClusterUnderTest::crashShardTier(std::size_t shard, bool torn,
     shard_outages_[shard].crash_at = queue_.now();
     group.database().crash(torn);
 
+    // Tell the auditor which Commit records the crash preserved:
+    // those still retained plus everything a checkpoint already
+    // truncated as durable.
     std::unordered_set<std::uint64_t> surviving;
     for (const WalRecord &rec : group.database().wal().records()) {
         if (rec.type == WalRecordType::Commit)
@@ -1389,12 +1015,15 @@ ClusterUnderTest::beginShardRecovery(std::size_t shard)
 {
     repl::ShardGroup &group = *shards_[shard];
     ShardOutage &outage = shard_outages_[shard];
+    outage.recovering = true;
     outage.last = group.database().recover();
     last_recovery_ = outage.last;
 
-    // Same recovery cost model as the legacy path, on the shard's own
-    // disk and CPUs: scan the retained WAL, fetch touched stable
-    // pages, write the recovery checkpoint, replay on CPU.
+    // Recovery takes simulated time: scan the retained WAL (one
+    // sequential read), fetch every touched stable page (random
+    // reads -- a seek each on a spinning device), write the recovery
+    // checkpoint, then burn DB CPU replaying. The shard stays out of
+    // rotation until all of it ends.
     const SimTime now = queue_.now();
     outage.restart_at = now;
     SimTime io_done = now;
@@ -1428,6 +1057,7 @@ ClusterUnderTest::finishShardRecovery(std::size_t shard)
 {
     repl::ShardGroup &group = *shards_[shard];
     ShardOutage &outage = shard_outages_[shard];
+    outage.recovering = false;
     const SimTime now = queue_.now();
     db_replay_us_ += now - outage.restart_at;
     tracker_.noteDegraded(outage.crash_at, now);
@@ -1443,7 +1073,26 @@ ClusterUnderTest::finishShardRecovery(std::size_t shard)
 }
 
 void
-ClusterUnderTest::replCheckpointTick()
+ClusterUnderTest::confirmForce(std::size_t shard, std::uint64_t issued,
+                               std::uint64_t forced_bytes,
+                               std::uint64_t gen)
+{
+    repl::ShardGroup &group = *shards_[shard];
+    // A crash bumps the generation, so a force from before it never
+    // confirms. Once the generation matches, a sharded force was
+    // issued on a live shard and the shard is still up. The unsharded
+    // box also stamps a call cut off by the crash with the new
+    // generation (it charges that call's disk after the crash), and
+    // that force confirms once the restart has begun.
+    if (gen != group.generation() ||
+        (group.down() && !shard_outages_[shard].recovering))
+        return;
+    group.database().confirmWalDurable(issued);
+    group.shipForced(issued, forced_bytes);
+}
+
+void
+ClusterUnderTest::checkpointShards()
 {
     for (std::size_t s = 0; s < shards_.size(); ++s) {
         repl::ShardGroup &group = *shards_[s];
@@ -1463,22 +1112,17 @@ ClusterUnderTest::replCheckpointTick()
         const std::uint64_t forced = stats.log_bytes_forced;
         const std::uint64_t gen = group.generation();
         const IoResult io = group.disk().write(queue_.now(), bytes);
-        queue_.scheduleAt(io.completion, [this, s, issued, forced,
-                                          gen] {
-            repl::ShardGroup &g = *shards_[s];
-            if (gen != g.generation() || g.down())
-                return;
-            g.database().confirmWalDurable(issued);
-            g.shipForced(issued, forced);
+        queue_.scheduleAt(io.completion, [this, s, issued, forced, gen] {
+            confirmForce(s, issued, forced, gen);
         });
     }
     queue_.scheduleAfter(
         secs(config_.db_recovery.checkpoint_interval_s),
-        [this] { replCheckpointTick(); });
+        [this] { checkpointShards(); });
 }
 
 AuditReport
-ClusterUnderTest::clusterAuditNow() const
+ClusterUnderTest::auditNow() const
 {
     AuditReport total;
     for (const auto &group : shards_) {

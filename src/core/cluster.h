@@ -8,11 +8,19 @@
  * SystemUnderTest stack (scheduler, JVM heap/GC, JIT, thread pool,
  * vmstat) driven through a front-end balancer, and every EJB->DB call
  * leaves the node — it acquires a connection from the node's bounded
- * pool, crosses the node-DB link, runs its CPU and I/O on the shared
- * DB node, and returns. All of it shares one event queue, so cluster
+ * pool, crosses the node-DB link, runs its CPU and I/O on the DB
+ * tier, and returns. All of it shares one event queue, so cluster
  * runs are exactly as deterministic as single-box runs. The shared DB
  * tier (or an undersized balancer) is the emergent scaling bottleneck
  * the abl_cluster_scaling bench sweeps for.
+ *
+ * The DB tier is always a vector of repl::ShardGroup. Unsharded, it
+ * is one group with no replicas -- shard 0 is the paper's single DB
+ * box. Every EJB->DB call, on any tier shape, runs one attempt
+ * pipeline: start -> acquire -> deadline -> query -> execute -> burst
+ * -> disk I/O -> response -> settle/retry. Which optional stages act
+ * (bounded acquire, deadline, breaker, retries, lease checks) is fixed
+ * at construction, not tested per call.
  */
 
 #ifndef JASIM_CORE_CLUSTER_H
@@ -40,13 +48,13 @@ struct DbRecoveryConfig
     /** Fuzzy-checkpoint cadence (0 disables checkpointing). */
     double checkpoint_interval_s = 30.0;
 
-    /** Stamp write txns with audit tokens and reconcile post-crash. */
-    bool audit = true;
-
     /**
-     * Arm recovery even with no dbcrash/tornwrite in the schedule
-     * (for armed-baseline overhead measurements). A schedule
-     * containing a DB fault arms it implicitly.
+     * Arm recovery on the unsharded tier even with no dbcrash/
+     * tornwrite in the schedule (for armed-baseline overhead
+     * measurements). A schedule containing a DB fault arms it
+     * implicitly. Recovery always brings the durability audit with
+     * it: write txns carry audit tokens and are reconciled after
+     * every crash. Replicated shards are always armed.
      */
     bool force_enabled = false;
 };
@@ -69,7 +77,7 @@ struct ClusterConfig
     /** Each node's connection pool to the DB tier. */
     ConnectionPoolConfig db_pool;
 
-    /** The shared database node. */
+    /** Each DB shard's CPUs, disk and scheduling quantum. */
     std::size_t db_cpus = 4;
     DiskConfig db_disk;          //!< RAM disk by default
     double db_quantum_us = 2000.0;
@@ -93,9 +101,11 @@ struct ClusterConfig
     DbRecoveryConfig db_recovery;
 
     /**
-     * Sharded/replicated DB tier (jasim::repl). The default --
-     * shards=1, replicas=0 -- leaves the legacy single shared DB box
-     * byte-identical to a build without replication support.
+     * Shape of the DB tier (jasim::repl). The tier is always a vector
+     * of shard groups; the default -- shards=1, replicas=0 -- is one
+     * group with no replicas, shard 0, which is the paper's single
+     * shared DB box, byte-identical to a build without replication
+     * support.
      */
     repl::ReplConfig repl;
 
@@ -143,9 +153,14 @@ class ClusterUnderTest
     LoadBalancer &loadBalancer() { return lb_; }
     NetworkFabric &fabric() { return fabric_; }
     ConnectionPool &dbPool(std::size_t node) { return *pools_[node]; }
-    CpuScheduler &dbScheduler() { return db_scheduler_; }
-    DiskModel &dbDisk() { return db_disk_; }
-    Jas2004Application &dbApplication() { return *db_app_; }
+
+    /** Shard 0's CPUs, disk and database (the whole unsharded tier). */
+    CpuScheduler &dbScheduler() { return shards_.front()->scheduler(); }
+    DiskModel &dbDisk() { return shards_.front()->disk(); }
+    Jas2004Application &dbApplication()
+    {
+        return shards_.front()->application();
+    }
 
     /**
      * Aggregate tracker: completions are recorded when the response
@@ -169,11 +184,9 @@ class ClusterUnderTest
         return tracker_.jops(from, to);
     }
 
-    /** DB-node CPU utilization over [0, now); shard mean in repl mode. */
+    /** DB CPU utilization over [0, now), the mean over shards. */
     double dbUtilization() const
     {
-        if (!repl_on_)
-            return db_scheduler_.utilization(queue_.now());
         double sum = 0.0;
         for (const auto &group : shards_)
             sum += group->scheduler().utilization(queue_.now());
@@ -197,11 +210,18 @@ class ClusterUnderTest
 
     // ---- DB crash consistency ----
 
-    /** True when a DB fault verb (or force_enabled) armed recovery. */
-    bool dbRecoveryEnabled() const { return db_recovery_on_; }
+    /**
+     * True when shard 0 runs with WAL recovery and the audit armed:
+     * on the unsharded tier, a DB fault verb or force_enabled asked
+     * for it; replicated shards are always armed.
+     */
+    bool dbRecoveryEnabled() const
+    {
+        return shards_.front()->recoveryArmed();
+    }
 
-    /** True from a DB crash until its recovery completes. */
-    bool dbDown() const { return db_down_ || db_recovering_; }
+    /** True from a shard-0 crash until its recovery completes. */
+    bool dbDown() const { return shards_.front()->down(); }
 
     std::uint64_t dbCrashCount() const { return db_crashes_; }
     std::uint64_t checkpointCount() const { return checkpoints_; }
@@ -220,20 +240,18 @@ class ClusterUnderTest
     const AuditReport &lastAudit() const { return last_audit_; }
     bool audited() const { return audited_; }
 
-    /** Reconcile the audit table right now (e.g. at end of run). */
-    AuditReport auditNow() const
-    {
-        if (repl_on_)
-            return clusterAuditNow();
-        return auditor_.audit(db_app_->database(),
-                              db_app_->auditTable());
-    }
+    /**
+     * Reconcile the audit tables right now (e.g. at end of run): the
+     * field-wise sum over shards.
+     */
+    AuditReport auditNow() const;
 
-    // ---- sharded / replicated DB tier (jasim::repl) ----
+    // ---- the DB tier's shard groups (jasim::repl) ----
 
     /** True when config.repl asked for >1 shard or >=1 replica. */
     bool replicationEnabled() const { return repl_on_; }
 
+    /** 1 on the unsharded tier: shard 0 is the single DB box. */
     std::size_t shardCount() const { return shards_.size(); }
     repl::ShardGroup &shard(std::size_t s) { return *shards_[s]; }
     const repl::ShardGroup &shard(std::size_t s) const
@@ -248,15 +266,13 @@ class ClusterUnderTest
         return failover_.get();
     }
 
-    /** Field-wise sum of every shard's audit (repl mode only). */
-    AuditReport clusterAuditNow() const;
-
     // ---- partition tolerance (lease/fencing, armed by schedule) ----
 
     /**
-     * True when a partition/switchover verb (or lease.force_enabled)
-     * armed the per-shard lease machinery. Without it the replicated
-     * tier runs with the PR 6 semantics, byte-identically.
+     * True when a partition/switchover verb armed the per-shard lease
+     * machinery of a replicated tier. Without it the replicated tier
+     * runs without leases, byte-identically to a build without
+     * partition support.
      */
     bool leaseEnabled() const { return lease_on_; }
 
@@ -298,9 +314,6 @@ class ClusterUnderTest
     EventQueue queue_;
     NetworkFabric fabric_;
     LoadBalancer lb_;
-    CpuScheduler db_scheduler_;
-    DiskModel db_disk_;
-    std::unique_ptr<Jas2004Application> db_app_;
     std::vector<std::unique_ptr<ConnectionPool>> pools_;
     std::vector<std::unique_ptr<SystemUnderTest>> nodes_;
     ResponseTracker tracker_;
@@ -313,31 +326,25 @@ class ClusterUnderTest
     bool adm_on_ = false; //!< admission/backpressure ladder armed
     std::unique_ptr<FaultInjector> injector_;
     std::unique_ptr<HealthChecker> health_;
-    std::unique_ptr<CircuitBreaker> breaker_;
-    RetryPolicy retry_;
+    std::unique_ptr<CircuitBreaker> breaker_; //!< unsharded tier only
+    RetryPolicy retry_;       //!< one attempt unless retries are armed
     Rng retry_rng_;           //!< backoff jitter (own forked stream)
-    SimTime db_timeout_us_ = 0;
+    SimTime db_timeout_us_ = 0; //!< 0: attempts run without a deadline
 
-    bool db_recovery_on_ = false;
-    bool db_down_ = false;       //!< crashed, restart not yet begun
-    bool db_recovering_ = false; //!< restarted, replaying the WAL
-    std::uint64_t db_epoch_ = 0; //!< bumped at each DB crash
-    SimTime db_crash_at_ = 0;
-    SimTime db_restart_at_ = 0;
+    // ---- crash/recovery tallies, summed over shards ----
     SimTime db_replay_us_ = 0;
     std::uint64_t db_crashes_ = 0;
     std::uint64_t checkpoints_ = 0;
     std::uint64_t checkpoint_pages_ = 0;
     RecoveryStats last_recovery_;
-    DurabilityAuditor auditor_;
     AuditReport last_audit_;
     bool audited_ = false;
 
-    // ---- replicated DB tier state (only used when repl_on_) ----
+    // ---- the DB tier: shard groups (shard 0 alone when unsharded) ----
     bool repl_on_ = false;
     std::unique_ptr<repl::ShardMap> shard_map_;
     std::vector<std::unique_ptr<repl::ShardGroup>> shards_;
-    std::unique_ptr<repl::FailoverController> failover_;
+    std::unique_ptr<repl::FailoverController> failover_; //!< repl only
     Rng route_rng_; //!< shard-routing key draws (own forked stream)
 
     // ---- partition tolerance state (only used when lease_on_) ----
@@ -362,11 +369,12 @@ class ClusterUnderTest
     std::uint64_t stale_rewinds_ = 0;
     std::uint64_t stale_rewind_bytes_ = 0;
 
-    /** Per-shard outage bookkeeping for the replicas==0 fallback. */
+    /** Per-shard crash/recovery bookkeeping (no replica to promote). */
     struct ShardOutage
     {
         SimTime crash_at = 0;
         SimTime restart_at = 0;
+        bool recovering = false; //!< restarted, replaying the WAL
         RecoveryStats last;
     };
     std::vector<ShardOutage> shard_outages_;
@@ -378,11 +386,12 @@ class ClusterUnderTest
         RequestType type = RequestType::Browse;
         double noise = 1.0;
         std::size_t attempt = 1;
-        std::uint64_t epoch = 0; //!< DB epoch when the txn executed
-        std::size_t shard = 0;   //!< owning shard (repl mode)
+        std::size_t shard = 0;        //!< owning shard
         std::uint64_t generation = 0; //!< shard generation at execute
         SystemUnderTest::DbDone done;
     };
+    using Settled = std::shared_ptr<bool>; //!< one attempt's latch
+    using Outcome = std::shared_ptr<TxnDbOutcome>;
 
     void handleRequest(const Request &request);
     void routeToNode(const Request &request);
@@ -390,70 +399,49 @@ class ClusterUnderTest
                         SimTime finish);
     void onNodeFailure(std::size_t node, const Request &request,
                        SimTime at, ErrorKind kind);
+
+    // the EJB->DB call pipeline, one path for every tier shape
     void remoteDb(std::size_t node, RequestType type, double noise,
                   SystemUnderTest::DbDone done);
-    /** Plain (non-resilient) DB round trip, connection in hand. */
-    void plainDbQuery(std::size_t node, RequestType type,
-                      double noise, SystemUnderTest::DbDone done,
-                      SimTime ready);
-    void finishDbTransaction(std::size_t node,
-                             std::shared_ptr<TxnDbOutcome> outcome,
-                             SystemUnderTest::DbDone done);
+    void startAttempt(const std::shared_ptr<DbCall> &call);
+    void sendQuery(const std::shared_ptr<DbCall> &call, SimTime ready);
+    void executeQuery(const std::shared_ptr<DbCall> &call,
+                      const Settled &settled);
+    void finishQuery(const std::shared_ptr<DbCall> &call,
+                     const Settled &settled, const Outcome &outcome);
+    void releaseResponse(const std::shared_ptr<DbCall> &call,
+                         const Settled &settled, const Outcome &outcome);
+    void sendResponse(const std::shared_ptr<DbCall> &call,
+                      const Settled &settled, const Outcome &outcome,
+                      SimTime send_at);
+    void settleFailure(const std::shared_ptr<DbCall> &call,
+                       ErrorKind kind);
+    /** Error kind of a call failing fast on a blacked-out shard. */
+    ErrorKind outageKind(std::size_t shard) const;
 
-    /** Run a DB-node CPU burst in scheduler quanta, then `then`. */
-    void dbBurst(double burst_us, std::function<void()> then);
+    /** Run a shard's CPU burst in scheduler quanta, then `then`. */
+    void shardBurst(std::size_t shard, double burst_us,
+                    std::function<void()> then);
 
-    /** Charge the DB node's disk for one txn; returns I/O-done time. */
-    SimTime dbDiskIo(const TxnDbOutcome &outcome, SimTime now);
-
-    // resilient EJB->DB path (only reached when resilience_on_)
-    void startDbAttempt(const std::shared_ptr<DbCall> &call);
-    void runDbAttempt(const std::shared_ptr<DbCall> &call,
-                      SimTime ready);
-    void finishDbAttempt(const std::shared_ptr<DbCall> &call,
-                         const std::shared_ptr<bool> &settled,
-                         const std::shared_ptr<TxnDbOutcome> &outcome);
-    void settleDbFailure(const std::shared_ptr<DbCall> &call,
-                         ErrorKind kind, bool breaker_failure);
+    /**
+     * A WAL force of generation `gen` completed: mark it durable and
+     * ship it, unless the shard crashed since.
+     */
+    void confirmForce(std::size_t shard, std::uint64_t issued,
+                      std::uint64_t forced_bytes, std::uint64_t gen);
 
     void applyFault(const FaultEvent &event);
     void degradeLinks(const FaultEvent &event, bool restore);
     void probeNode(std::size_t node);
     void applyProbeResult(std::size_t node, bool healthy);
 
-    // DB crash consistency (only reached when db_recovery_on_)
-    void checkpointTick();
-    void crashDbTier(const FaultEvent &event);
-    void beginDbRecovery();
-    void finishDbRecovery();
-
-    // sharded EJB->DB path (only reached when repl_on_)
-    void startShardCall(std::size_t node, RequestType type,
-                        double noise, SystemUnderTest::DbDone done);
-    void startShardAttempt(const std::shared_ptr<DbCall> &call);
-    void runShardAttempt(const std::shared_ptr<DbCall> &call,
-                         SimTime ready);
-    void finishShardAttempt(
-        const std::shared_ptr<DbCall> &call,
-        const std::shared_ptr<bool> &settled,
-        const std::shared_ptr<TxnDbOutcome> &outcome);
-    void sendShardResponse(
-        const std::shared_ptr<DbCall> &call,
-        const std::shared_ptr<bool> &settled,
-        const std::shared_ptr<TxnDbOutcome> &outcome);
-    void settleShardFailure(const std::shared_ptr<DbCall> &call,
-                            ErrorKind kind);
-    void shardBurst(std::size_t shard, double burst_us,
-                    std::function<void()> then);
-
-    // repl-mode fault handling: replica-scoped crash/restart, primary
-    // failover, and the unreplicated per-shard crash+recover fallback
+    // DB faults: replica-scoped crash/restart, primary failover, and
+    // the blocking per-shard crash + ARIES recovery
     void applyShardFault(const FaultEvent &event);
-    void crashShardTier(std::size_t shard, bool torn,
-                        SimTime restart_after);
+    void crashShard(std::size_t shard, bool torn, SimTime restart_after);
     void beginShardRecovery(std::size_t shard);
     void finishShardRecovery(std::size_t shard);
-    void replCheckpointTick();
+    void checkpointShards();
 
     // partition tolerance (only reached when the schedule can split
     // the fabric or hand a primary off)

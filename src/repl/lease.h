@@ -36,14 +36,16 @@
 
 namespace jasim {
 
-/** Lease tuning knobs (part of ReplConfig). */
+/**
+ * Lease tuning knobs (part of ReplConfig). A replicated tier arms its
+ * leases only when the fault schedule holds a partition or switchover
+ * verb.
+ */
 struct LeaseConfig
 {
     double lease_s = 2.0;         //!< lease length
     double renew_s = 0.5;         //!< heartbeat round interval
     double heartbeat_bytes = 64;  //!< per-heartbeat wire cost
-    /** Arm leases even without partition/switchover verbs. */
-    bool force_enabled = false;
 };
 
 /**

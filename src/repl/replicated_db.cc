@@ -1,20 +1,24 @@
 #include "repl/replicated_db.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace jasim::repl {
 
 ShardGroup::ShardGroup(EventQueue &queue,
-                       const ShardGroupConfig &config, std::uint64_t seed)
+                       const ShardGroupConfig &config, std::uint64_t seed,
+                       bool recovery)
     : queue_(queue), config_(config),
       app_(config.db, config.injection_rate, seed),
       scheduler_(config.cpus), disk_(config.disk)
 {
-    // Shipping needs WAL retention and failover gates on the audit:
-    // both are always armed on a shard primary. Audit first, so the
-    // empty audit table is part of the stable baseline.
-    app_.enableAudit();
-    app_.database().enableRecovery();
+    assert(recovery || config.replicas == 0);
+    if (recovery) {
+        // Audit first, so the empty audit table is part of the stable
+        // baseline.
+        app_.enableAudit();
+        app_.database().enableRecovery();
+    }
 
     Rng seeder(seed ^ 0x4e95ull);
     for (std::size_t r = 0; r < config.replicas; ++r) {

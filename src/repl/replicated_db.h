@@ -30,7 +30,12 @@
  * then also need a durability quorum (Lease::quorumAcks() replicas)
  * instead of any single replica, so a promoted majority always
  * intersects the ack set. All of it is gated on armLease() -- an
- * unleased group is byte-identical to PR 6.
+ * unleased group behaves exactly as one built without leases.
+ *
+ * The cluster's DB tier is always a vector of these groups. Unsharded,
+ * it is a single group with no replicas, shard 0, standing for the
+ * paper's one DB box; that group arms WAL recovery and the audit only
+ * when a DB fault (or DbRecoveryConfig::force_enabled) asks for them.
  */
 
 #ifndef JASIM_REPL_REPLICATED_DB_H
@@ -62,7 +67,7 @@ struct ReplConfig
     FailoverConfig failover;
     LeaseConfig lease;        //!< armed by partition/switchover verbs
 
-    /** Anything beyond the single unreplicated box of PR 5? */
+    /** Anything beyond the single unreplicated box (shard 0 alone)? */
     bool enabled() const { return shards > 1 || replicas > 0; }
 };
 
@@ -82,8 +87,14 @@ struct ShardGroupConfig
 class ShardGroup
 {
   public:
+    /**
+     * `recovery` arms the primary's WAL recovery and the durability
+     * audit. A group with replicas needs both (shipping needs the
+     * log, failover gates on the audit); only the cluster's unsharded
+     * box, a group with no replicas, may leave them off.
+     */
     ShardGroup(EventQueue &queue, const ShardGroupConfig &config,
-               std::uint64_t seed);
+               std::uint64_t seed, bool recovery = true);
 
     Jas2004Application &application() { return app_; }
     Database &database() { return app_.database(); }
@@ -95,6 +106,10 @@ class ShardGroup
     DurabilityAuditor &auditor() { return auditor_; }
     const DurabilityAuditor &auditor() const { return auditor_; }
 
+    bool recoveryArmed() const
+    {
+        return app_.database().recoveryEnabled();
+    }
     bool syncMode() const { return config_.sync; }
     std::size_t replicaCount() const { return replicas_.size(); }
     LogShipStream &replica(std::size_t i) { return *replicas_[i]; }

@@ -85,7 +85,7 @@ TEST(ClusterPartitionTest, PartitionPromotesTheQuorumSide)
 
     // Sync guarantee across partition + heal: zero lost-acked, by
     // construction (quorum acks intersect the promoted majority).
-    const AuditReport audit = cluster.clusterAuditNow();
+    const AuditReport audit = cluster.auditNow();
     EXPECT_GT(audit.acked_total, 0u);
     EXPECT_EQ(audit.lost_acked, 0u);
     EXPECT_EQ(audit.resurrected, 0u);
@@ -122,7 +122,7 @@ TEST(ClusterPartitionTest, EvenSplitWithoutQuorumNeverPromotes)
     EXPECT_GT(cluster.tracker().errorCount(), 0u);
     EXPECT_GE(cluster.shard(0).lease().lapses(), 1u);
     // Nothing acked was lost -- the whole point of lapsing.
-    const AuditReport audit = cluster.clusterAuditNow();
+    const AuditReport audit = cluster.auditNow();
     EXPECT_EQ(audit.lost_acked, 0u);
     // After the heal the lease renews and service resumes.
     EXPECT_GT(cluster.jops(secs(15), secs(20)), 0.0);
@@ -152,7 +152,7 @@ TEST(ClusterPartitionTest, PlannedSwitchoverBlackoutUnderOneLease)
     EXPECT_LE(t.failoverBlackoutUs(0),
               secs(ClusterConfig{}.repl.lease.lease_s));
 
-    const AuditReport audit = cluster.clusterAuditNow();
+    const AuditReport audit = cluster.auditNow();
     EXPECT_GT(audit.acked_total, 0u);
     EXPECT_EQ(audit.lost_acked, 0u);
     EXPECT_EQ(audit.duplicates, 0u);

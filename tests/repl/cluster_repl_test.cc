@@ -43,7 +43,9 @@ TEST(ClusterReplTest, DefaultsLeaveReplicationDisabled)
     ClusterUnderTest cluster(config, shared.profiles, shared.registry,
                              7);
     EXPECT_FALSE(cluster.replicationEnabled());
-    EXPECT_EQ(cluster.shardCount(), 0u); // legacy single box
+    // The unsharded tier is shard 0 alone: one group, no replicas.
+    ASSERT_EQ(cluster.shardCount(), 1u);
+    EXPECT_EQ(cluster.shard(0).replicaCount(), 0u);
 }
 
 TEST(ClusterReplTest, HealthyShardedRunServesAndAuditsClean)
@@ -57,7 +59,7 @@ TEST(ClusterReplTest, HealthyShardedRunServesAndAuditsClean)
     cluster.advanceTo(secs(25));
 
     EXPECT_GT(cluster.tracker().totalCompleted(), 0u);
-    const AuditReport audit = cluster.clusterAuditNow();
+    const AuditReport audit = cluster.auditNow();
     EXPECT_GT(audit.acked_total, 0u);
     EXPECT_TRUE(audit.pass());
     // Both shards carried load and replicated it.
@@ -87,7 +89,7 @@ TEST(ClusterReplTest, PrimaryCrashFailsOverWithBoundedBlackout)
     EXPECT_DOUBLE_EQ(t.shardAvailability(1, secs(20)), 1.0);
 
     // The sync guarantee end to end: no acked commit lost.
-    const AuditReport audit = cluster.clusterAuditNow();
+    const AuditReport audit = cluster.auditNow();
     EXPECT_GT(audit.acked_total, 0u);
     EXPECT_EQ(audit.lost_acked, 0u);
     EXPECT_EQ(audit.resurrected, 0u);
