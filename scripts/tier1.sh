@@ -19,10 +19,17 @@
 # misaligned access in arithmetic-heavy code (fencing-token and LSN
 # math, lease expiry) that ASan's shadow-memory pass can mask.
 #
+# The test binaries run directly below (not through ctest, whose
+# per-test TIMEOUT covers the rest) run under a wall-clock bound
+# (coreutils `timeout`), so a hang fails the gate instead of wedging
+# it. Each bound is at least 5x the binary's time on a 4-CPU host.
+#
 # Usage: scripts/tier1.sh [--san] [build-dir] [sanitized-build-dir] [tsan-build-dir] [ubsan-build-dir]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+source scripts/bounded.sh
 
 SAN_FULL=0
 if [[ "${1:-}" == "--san" ]]; then
@@ -48,8 +55,8 @@ if [[ "$SAN_FULL" == 1 ]]; then
     echo "== tier-1: TSan build (lane + par thread handoffs) =="
     cmake -B "$TSAN_BUILD" -S . -DJASIM_TSAN=ON >/dev/null
     cmake --build "$TSAN_BUILD" -j --target test_lane test_par
-    "$TSAN_BUILD/tests/test_lane"
-    "$TSAN_BUILD/tests/test_par"
+    bounded 600 "$TSAN_BUILD/tests/test_lane"
+    bounded 120 "$TSAN_BUILD/tests/test_par"
 
     echo "== tier-1: UBSan build (full suite, undefined behaviour only) =="
     cmake -B "$UBSAN_BUILD" -S . -DJASIM_UBSAN=ON >/dev/null
@@ -59,13 +66,13 @@ else
     echo "== tier-1: sanitized build (ASan + UBSan) =="
     cmake -B "$SAN_BUILD" -S . -DJASIM_SANITIZE=ON >/dev/null
     cmake --build "$SAN_BUILD" -j --target test_net test_fault test_db test_repl test_adm test_driver test_core
-    "$SAN_BUILD/tests/test_net"
-    "$SAN_BUILD/tests/test_fault"
-    "$SAN_BUILD/tests/test_db"
-    "$SAN_BUILD/tests/test_repl"
-    "$SAN_BUILD/tests/test_adm"
-    "$SAN_BUILD/tests/test_driver"
-    "$SAN_BUILD/tests/test_core"
+    bounded 60 "$SAN_BUILD/tests/test_net"
+    bounded 150 "$SAN_BUILD/tests/test_fault"
+    bounded 60 "$SAN_BUILD/tests/test_db"
+    bounded 150 "$SAN_BUILD/tests/test_repl"
+    bounded 150 "$SAN_BUILD/tests/test_adm"
+    bounded 150 "$SAN_BUILD/tests/test_driver"
+    bounded 600 "$SAN_BUILD/tests/test_core"
 fi
 
 echo "== tier-1: all green =="
