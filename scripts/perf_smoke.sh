@@ -12,6 +12,9 @@
 #    jasim::lane's whole contract: host thread count never changes
 #    one byte of simulation output (and micro_lanes itself exits 1 if
 #    its lanes=1/lanes=N arms diverge).
+#  - the benchmark's episodes (perfbench's jasim_episode, three
+#    workloads at seeds 1 and 4242) must hash to their pinned digests:
+#    a host-side change must not move one simulated count.
 #
 # Soft gate (warning only): the microbench speedup target (>= 1.5x
 # over the std::function baseline) and the parallel wall-clock win
@@ -273,6 +276,48 @@ if ! grep -q "deterministic re-run: yes" "$tmp/burst_a.txt"; then
     exit 1
 fi
 echo "overload: byte-identical across job counts, adaptive holds the SLA, none collapses"
+
+echo "== perf-smoke: benchmark episode goldens =="
+# The benchmark's scored workloads must simulate exactly what they
+# did when these were pinned: one sha256 per workload and seed over
+# the episode's digest plus its sorted sim map (every count the
+# benchmark reports, driver.failed and adm.shed included). The
+# episode runner is built the way perfbench/run.py builds it; the
+# episode itself exits 1 if any of its own checks fails. Re-pin only
+# when a change means to move simulated behaviour.
+bench_build=.bench_build/perfbench
+if [[ ! -f "$bench_build/CMakeCache.txt" ]]; then
+    cmake -S perfbench -B "$bench_build" -DCMAKE_BUILD_TYPE=Release >/dev/null
+fi
+cmake --build "$bench_build" -j --target jasim_episode
+declare -A EPISODE_GOLDEN=(
+    [paper_box/1]=21639a3e281323d427ecb631c39de25f3cc8a37242a605770e0b73402035b4d4
+    [paper_box/4242]=d98864b9a822894a686a9011f03dca55c8a6a32c2744e3406170347c1bce2277
+    [repl_chaos/1]=10692a60c8f39be5c9dca1b41166f8c9db183eea3d18f611736f4ee55c6d4c23
+    [repl_chaos/4242]=c6c9670257af7bd95aa47b747850edd0c9859fa6733fd8b83e5dd00237a0d671
+    [burst_shed/1]=6a445af540fcf8fc4ed4af72174e2a978ff3f22cd55b6e73344afb6c7de73f8e
+    [burst_shed/4242]=ed0bb44d444345ddbc8612ef9cad458ded93ee405da5bcbff94f6b31cafc8655
+)
+for workload in paper_box repl_chaos burst_shed; do
+    for seed in 1 4242; do
+        bounded 60 "$bench_build/jasim_episode" --workload "$workload" \
+            --seed "$seed" --trace 0 >"$tmp/episode.json"
+        episode_sha="$(python3 - "$tmp/episode.json" <<'EOF'
+import hashlib, json, sys
+episode = json.loads(open(sys.argv[1]).read().strip().splitlines()[-1])
+text = episode["digest"] + "\n" + json.dumps(episode["sim"], sort_keys=True)
+print(hashlib.sha256(text.encode()).hexdigest())
+EOF
+)"
+        want="${EPISODE_GOLDEN[$workload/$seed]}"
+        if [[ "$episode_sha" != "$want" ]]; then
+            echo "FAIL: $workload seed $seed episode drifted from its pinned digest:" >&2
+            echo "  got $episode_sha want $want" >&2
+            exit 1
+        fi
+    done
+done
+echo "episodes: paper_box, repl_chaos and burst_shed at seeds 1 and 4242 match their pinned digests"
 
 python3 - out/BENCH_abl_l2size_serial.json out/BENCH_abl_l2size.json <<'EOF'
 import json, sys
