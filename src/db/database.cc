@@ -45,11 +45,20 @@ Database::createSecondaryIndex(std::uint32_t table_id,
     TableState &ts = state(table_id);
     const auto col = ts.table->schema().columnIndex(column);
     assert(col && "unknown column");
-    MultiIndex &index = ts.secondary[column];
+    SecondaryIndex &secondary = ts.secondary[column];
+    secondary.column = *col;
     ts.table->scan([&](RowId id, const Row &row) {
-        index.insert(std::get<std::int64_t>(row[*col]), id);
+        secondary.index.insert(std::get<std::int64_t>(row[*col]), id);
         return true;
     });
+}
+
+void
+Database::reserveRows(std::uint32_t table_id, std::size_t rows)
+{
+    TableState &ts = state(table_id);
+    ts.table->reserve(rows);
+    ts.primary.reserve(rows);
 }
 
 std::optional<std::uint32_t>
@@ -163,18 +172,20 @@ Database::keyOf(const Row &row)
 void
 Database::indexRemove(TableState &ts, RowId id, const Row &row)
 {
-    for (auto &[column, index] : ts.secondary) {
-        const auto col = ts.table->schema().columnIndex(column);
-        index.erase(std::get<std::int64_t>(row[*col]), id);
+    for (auto &[name, secondary] : ts.secondary) {
+        (void)name;
+        secondary.index.erase(
+            std::get<std::int64_t>(row[secondary.column]), id);
     }
 }
 
 void
 Database::indexAdd(TableState &ts, RowId id, const Row &row)
 {
-    for (auto &[column, index] : ts.secondary) {
-        const auto col = ts.table->schema().columnIndex(column);
-        index.insert(std::get<std::int64_t>(row[*col]), id);
+    for (auto &[name, secondary] : ts.secondary) {
+        (void)name;
+        secondary.index.insert(
+            std::get<std::int64_t>(row[secondary.column]), id);
     }
 }
 
@@ -272,19 +283,21 @@ Database::insert(TxnId txn, std::uint32_t table_id, Row row)
 {
     DbCost cost;
     TableState &ts = state(table_id);
-    const std::int64_t key = keyOf(row);
-    const std::uint32_t bytes = rowBytes(row);
-    const RowId id = ts.table->insert(std::move(row));
-    const bool unique = ts.primary.insert(key, id);
+    const RowId id = ts.table->insert(row);
+    const bool unique = ts.primary.insert(keyOf(row), id);
     assert(unique && "duplicate primary key");
     (void)unique;
-    const auto inserted = ts.table->fetch(id);
-    indexAdd(ts, id, *inserted);
+    indexAdd(ts, id, row);
 
+    // The caller's row is what the table now holds: index from it and
+    // hand it to the WAL redo image, which is kept only when armed.
+    const std::uint32_t bytes = rowBytes(row);
+    std::optional<Row> redo;
+    if (recovery_on_)
+        redo = std::move(row);
     const std::uint64_t lsn =
         logMutation(txn, WalRecordType::Insert, bytes, table_id, id,
-                    recovery_on_ ? inserted : std::nullopt,
-                    std::nullopt);
+                    std::move(redo), std::nullopt);
     touchPage(table_id, id.page, true, cost, lsn);
     active_[txn].undo.push_back(UndoEntry{table_id, id, std::nullopt});
     ++cost.rows;
@@ -317,20 +330,23 @@ Database::updateByKey(TxnId txn, std::uint32_t table_id,
         cost.cpu_us += 0.8;
         return cost;
     }
-    const auto before = ts.table->fetch(*id);
+    std::optional<Row> before = ts.table->fetch(*id);
     assert(before);
     indexRemove(ts, *id, *before);
-    const std::uint32_t bytes = rowBytes(row);
-    ts.table->update(*id, std::move(row));
-    const auto after = ts.table->fetch(*id);
-    indexAdd(ts, *id, *after);
+    ts.table->update(*id, row);
+    indexAdd(ts, *id, row);
 
+    const std::uint32_t bytes = rowBytes(row);
+    std::optional<Row> redo;
+    if (recovery_on_)
+        redo = std::move(row);
     const std::uint64_t lsn =
         logMutation(txn, WalRecordType::Update, bytes, table_id, *id,
-                    recovery_on_ ? after : std::nullopt,
+                    std::move(redo),
                     recovery_on_ ? before : std::nullopt);
     touchPage(table_id, id->page, true, cost, lsn);
-    active_[txn].undo.push_back(UndoEntry{table_id, *id, before});
+    active_[txn].undo.push_back(
+        UndoEntry{table_id, *id, std::move(before)});
     ++cost.rows;
     cost.cpu_us += 2.5;
     return cost;
@@ -346,7 +362,7 @@ Database::eraseByKey(TxnId txn, std::uint32_t table_id, std::int64_t key)
         cost.cpu_us += 0.8;
         return cost;
     }
-    const auto before = ts.table->fetch(*id);
+    std::optional<Row> before = ts.table->fetch(*id);
     assert(before);
     indexRemove(ts, *id, *before);
     ts.primary.erase(key);
@@ -357,7 +373,8 @@ Database::eraseByKey(TxnId txn, std::uint32_t table_id, std::int64_t key)
                     table_id, *id, std::nullopt,
                     recovery_on_ ? before : std::nullopt);
     touchPage(table_id, id->page, true, cost, lsn);
-    active_[txn].undo.push_back(UndoEntry{table_id, *id, before});
+    active_[txn].undo.push_back(
+        UndoEntry{table_id, *id, std::move(before)});
     ++cost.rows;
     cost.cpu_us += 2.0;
     return cost;
@@ -373,7 +390,7 @@ Database::selectBySecondary(std::uint32_t table_id,
     assert(index != ts.secondary.end() && "no such secondary index");
     cost.cpu_us += 1.0;
     std::vector<Row> rows;
-    for (const RowId id : index->second.find(key)) {
+    for (const RowId id : index->second.index.find(key)) {
         touchPage(table_id, id.page, false, cost);
         const auto row = ts.table->fetch(id);
         if (row) {
@@ -729,16 +746,14 @@ Database::rebuildIndexes()
 {
     for (TableState &ts : tables_) {
         ts.primary = UniqueIndex{};
-        for (auto &[column, index] : ts.secondary) {
-            (void)column;
-            index = MultiIndex{};
+        ts.primary.reserve(ts.table->rowCount());
+        for (auto &[name, secondary] : ts.secondary) {
+            (void)name;
+            secondary.index = MultiIndex{};
         }
-        ts.table->scan([&ts](RowId id, const Row &row) {
+        ts.table->scan([this, &ts](RowId id, const Row &row) {
             ts.primary.insert(keyOf(row), id);
-            for (auto &[column, index] : ts.secondary) {
-                const auto col = ts.table->schema().columnIndex(column);
-                index.insert(std::get<std::int64_t>(row[*col]), id);
-            }
+            indexAdd(ts, id, row);
             return true;
         });
     }

@@ -123,6 +123,12 @@ class Database
     void createSecondaryIndex(std::uint32_t table_id,
                               const std::string &column);
 
+    /**
+     * Size a table for `rows` rows up front: its page list and its
+     * primary index. Changes no outcome, only how often they regrow.
+     */
+    void reserveRows(std::uint32_t table_id, std::size_t rows);
+
     std::optional<std::uint32_t> tableId(const std::string &name) const;
     const Table &table(std::uint32_t table_id) const;
 
@@ -233,11 +239,18 @@ class Database
     FailoverStats failoverTo(std::uint64_t watermark);
 
   private:
+    /** A secondary index and the position of the column it keys. */
+    struct SecondaryIndex
+    {
+        std::size_t column = 0;
+        MultiIndex index;
+    };
+
     struct TableState
     {
         std::unique_ptr<Table> table;
         UniqueIndex primary;
-        std::map<std::string, MultiIndex> secondary;
+        std::map<std::string, SecondaryIndex> secondary;
     };
 
     struct UndoEntry

@@ -30,6 +30,9 @@ class UniqueIndex
 
     bool erase(std::int64_t key);
 
+    /** Make room for `keys` keys without rehashing. */
+    void reserve(std::size_t keys) { map_.reserve(keys); }
+
     std::size_t size() const { return map_.size(); }
 
   private:

@@ -1,5 +1,6 @@
 #include "db/table.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace jasim {
@@ -19,55 +20,110 @@ Table::Table(Schema schema, std::uint16_t rows_per_page)
 {
     assert(rows_per_page_ > 0);
     assert(!schema_.columns.empty());
+    cell_of_.reserve(schema_.columns.size());
+    for (const Column &column : schema_.columns) {
+        if (column.type == ColumnType::Integer)
+            cell_of_.push_back(int_cols_++);
+        else
+            cell_of_.push_back(text_cols_++);
+    }
+}
+
+void
+Table::reserve(std::size_t rows)
+{
+    pages_.reserve((rows + rows_per_page_ - 1) / rows_per_page_);
+}
+
+void
+Table::checkTypes(const Row &row) const
+{
+    assert(row.size() == schema_.columns.size());
+    for (std::size_t c = 0; c < row.size(); ++c) {
+        const bool integer = schema_.columns[c].type == ColumnType::Integer;
+        if (std::holds_alternative<std::int64_t>(row[c]) != integer)
+            throw std::bad_variant_access();
+    }
+}
+
+void
+Table::writeCells(Page &page, std::uint16_t slot, const Row &row)
+{
+    for (std::size_t c = 0; c < row.size(); ++c) {
+        if (schema_.columns[c].type == ColumnType::Integer)
+            page.ints[slot * int_cols_ + cell_of_[c]] =
+                std::get<std::int64_t>(row[c]);
+        else
+            page.texts[slot * text_cols_ + cell_of_[c]] =
+                std::get<std::string>(row[c]);
+    }
+}
+
+void
+Table::readRow(const Page &page, std::uint16_t slot, Row &row) const
+{
+    for (std::size_t c = 0; c < row.size(); ++c) {
+        if (schema_.columns[c].type == ColumnType::Integer)
+            row[c] = page.ints[slot * int_cols_ + cell_of_[c]];
+        else
+            row[c] = page.texts[slot * text_cols_ + cell_of_[c]];
+    }
+}
+
+bool
+Table::isLive(RowId id) const
+{
+    return id.page < pages_.size() &&
+        id.slot < pages_[id.page].live.size() &&
+        pages_[id.page].live[id.slot];
 }
 
 RowId
-Table::insert(Row row)
+Table::insert(const Row &row)
 {
-    assert(row.size() == schema_.columns.size());
-    if (pages_.empty() || pages_.back().rows.size() >= rows_per_page_)
-        pages_.push_back(Page{});
+    checkTypes(row);
+    if (pages_.empty() || pages_.back().live.size() >= rows_per_page_) {
+        Page &fresh = pages_.emplace_back();
+        fresh.ints.reserve(rows_per_page_ * int_cols_);
+        fresh.texts.reserve(rows_per_page_ * text_cols_);
+        fresh.live.reserve(rows_per_page_);
+    }
     Page &page = pages_.back();
-    page.rows.push_back(std::move(row));
+    const auto slot = static_cast<std::uint16_t>(page.live.size());
+    page.ints.resize(page.ints.size() + int_cols_);
+    page.texts.resize(page.texts.size() + text_cols_);
     page.live.push_back(true);
+    writeCells(page, slot, row);
     ++live_rows_;
-    return RowId{static_cast<std::uint32_t>(pages_.size() - 1),
-                 static_cast<std::uint16_t>(page.rows.size() - 1)};
+    return RowId{static_cast<std::uint32_t>(pages_.size() - 1), slot};
 }
 
 std::optional<Row>
 Table::fetch(RowId id) const
 {
-    if (id.page >= pages_.size())
+    if (!isLive(id))
         return std::nullopt;
-    const Page &page = pages_[id.page];
-    if (id.slot >= page.rows.size() || !page.live[id.slot])
-        return std::nullopt;
-    return page.rows[id.slot];
+    Row row(schema_.columns.size());
+    readRow(pages_[id.page], id.slot, row);
+    return row;
 }
 
 bool
-Table::update(RowId id, Row row)
+Table::update(RowId id, const Row &row)
 {
-    assert(row.size() == schema_.columns.size());
-    if (id.page >= pages_.size())
+    checkTypes(row);
+    if (!isLive(id))
         return false;
-    Page &page = pages_[id.page];
-    if (id.slot >= page.rows.size() || !page.live[id.slot])
-        return false;
-    page.rows[id.slot] = std::move(row);
+    writeCells(pages_[id.page], id.slot, row);
     return true;
 }
 
 bool
 Table::erase(RowId id)
 {
-    if (id.page >= pages_.size())
+    if (!isLive(id))
         return false;
-    Page &page = pages_[id.page];
-    if (id.slot >= page.rows.size() || !page.live[id.slot])
-        return false;
-    page.live[id.slot] = false;
+    pages_[id.page].live[id.slot] = false;
     --live_rows_;
     return true;
 }
@@ -77,26 +133,28 @@ Table::pageImage(std::uint32_t page) const
 {
     if (page >= pages_.size())
         return {};
-    return PageImage{pages_[page].rows, pages_[page].live};
+    return pages_[page];
 }
 
 void
-Table::setRowAt(RowId id, Row row)
+Table::setRowAt(RowId id, const Row &row)
 {
-    while (pages_.size() <= id.page)
-        pages_.push_back(Page{});
+    checkTypes(row);
+    if (pages_.size() <= id.page)
+        pages_.resize(id.page + 1);
     Page &page = pages_[id.page];
-    while (page.rows.size() <= id.slot) {
+    if (page.live.size() <= id.slot) {
         // Dead placeholder slots: never fetched (not live), and they
         // count toward page fullness exactly like tombstones do.
-        page.rows.push_back(Row{});
-        page.live.push_back(false);
+        page.ints.resize((id.slot + 1) * int_cols_);
+        page.texts.resize((id.slot + 1) * text_cols_);
+        page.live.resize(id.slot + 1, false);
     }
     if (!page.live[id.slot]) {
         page.live[id.slot] = true;
         ++live_rows_;
     }
-    page.rows[id.slot] = std::move(row);
+    writeCells(page, id.slot, row);
 }
 
 bool
@@ -108,16 +166,13 @@ Table::eraseAt(RowId id)
 void
 Table::restoreAll(const std::vector<PageImage> &images)
 {
-    pages_.clear();
-    pages_.reserve(images.size());
+    pages_ = images;
     live_rows_ = 0;
-    for (const PageImage &image : images) {
-        assert(image.rows.size() == image.live.size());
-        pages_.push_back(Page{image.rows, image.live});
-        for (const bool live : image.live) {
-            if (live)
-                ++live_rows_;
-        }
+    for (const Page &page : pages_) {
+        assert(page.ints.size() == page.live.size() * int_cols_);
+        assert(page.texts.size() == page.live.size() * text_cols_);
+        live_rows_ += static_cast<std::uint64_t>(
+            std::count(page.live.begin(), page.live.end(), true));
     }
 }
 

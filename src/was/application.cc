@@ -81,6 +81,11 @@ Jas2004Application::populate(double injection_rate)
     const auto inventory_t = *db_.tableId("inventory");
     const auto orders_t = *db_.tableId("orders");
     const auto workorder_t = *db_.tableId("workorder");
+    db_.reserveRows(customer_t, customers_);
+    db_.reserveRows(vehicle_t, vehicles_);
+    db_.reserveRows(inventory_t, inventory_);
+    db_.reserveRows(orders_t, orders_);
+    db_.reserveRows(workorder_t, workorders_);
 
     auto batched = [this](std::uint32_t count, auto &&insert_one) {
         TxnId txn = db_.begin();
