@@ -47,7 +47,7 @@ Table::checkTypes(const Row &row) const
 }
 
 void
-Table::writeCells(Page &page, std::uint16_t slot, const Row &row)
+Table::writeCells(PageImage &page, std::uint16_t slot, const Row &row)
 {
     for (std::size_t c = 0; c < row.size(); ++c) {
         if (schema_.columns[c].type == ColumnType::Integer)
@@ -60,7 +60,7 @@ Table::writeCells(Page &page, std::uint16_t slot, const Row &row)
 }
 
 void
-Table::readRow(const Page &page, std::uint16_t slot, Row &row) const
+Table::readRow(const PageImage &page, std::uint16_t slot, Row &row) const
 {
     for (std::size_t c = 0; c < row.size(); ++c) {
         if (schema_.columns[c].type == ColumnType::Integer)
@@ -83,12 +83,12 @@ Table::insert(const Row &row)
 {
     checkTypes(row);
     if (pages_.empty() || pages_.back().live.size() >= rows_per_page_) {
-        Page &fresh = pages_.emplace_back();
+        PageImage &fresh = pages_.emplace_back();
         fresh.ints.reserve(rows_per_page_ * int_cols_);
         fresh.texts.reserve(rows_per_page_ * text_cols_);
         fresh.live.reserve(rows_per_page_);
     }
-    Page &page = pages_.back();
+    PageImage &page = pages_.back();
     const auto slot = static_cast<std::uint16_t>(page.live.size());
     page.ints.resize(page.ints.size() + int_cols_);
     page.texts.resize(page.texts.size() + text_cols_);
@@ -142,7 +142,7 @@ Table::setRowAt(RowId id, const Row &row)
     checkTypes(row);
     if (pages_.size() <= id.page)
         pages_.resize(id.page + 1);
-    Page &page = pages_[id.page];
+    PageImage &page = pages_[id.page];
     if (page.live.size() <= id.slot) {
         // Dead placeholder slots: never fetched (not live), and they
         // count toward page fullness exactly like tombstones do.
@@ -168,7 +168,7 @@ Table::restoreAll(const std::vector<PageImage> &images)
 {
     pages_ = images;
     live_rows_ = 0;
-    for (const Page &page : pages_) {
+    for (const PageImage &page : pages_) {
         assert(page.ints.size() == page.live.size() * int_cols_);
         assert(page.texts.size() == page.live.size() * text_cols_);
         live_rows_ += static_cast<std::uint64_t>(

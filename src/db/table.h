@@ -152,7 +152,7 @@ class Table
         Row row(schema_.columns.size());
         const Row &view = row;
         for (std::uint32_t p = 0; p < pages_.size(); ++p) {
-            const Page &page = pages_[p];
+            const PageImage &page = pages_[p];
             for (std::uint16_t s = 0; s < page.live.size(); ++s) {
                 if (!page.live[s])
                     continue;
@@ -164,23 +164,21 @@ class Table
     }
 
   private:
-    using Page = PageImage;
-
     Schema schema_;
     std::uint16_t rows_per_page_;
     /** Per column: its cell's offset within a slot's ints or texts. */
     std::vector<std::size_t> cell_of_;
     std::size_t int_cols_ = 0;
     std::size_t text_cols_ = 0;
-    std::vector<Page> pages_;
+    std::vector<PageImage> pages_;
     std::uint64_t live_rows_ = 0;
 
     /** Throw std::bad_variant_access unless `row` fits the schema. */
     void checkTypes(const Row &row) const;
     /** Store `row`'s cells into an existing slot. */
-    void writeCells(Page &page, std::uint16_t slot, const Row &row);
+    void writeCells(PageImage &page, std::uint16_t slot, const Row &row);
     /** Load a slot's cells into `row` (already sized to the schema). */
-    void readRow(const Page &page, std::uint16_t slot, Row &row) const;
+    void readRow(const PageImage &page, std::uint16_t slot, Row &row) const;
     /** Whether `id` names a live slot. */
     bool isLive(RowId id) const;
 };
