@@ -56,9 +56,7 @@ Database::createSecondaryIndex(std::uint32_t table_id,
 void
 Database::reserveRows(std::uint32_t table_id, std::size_t rows)
 {
-    TableState &ts = state(table_id);
-    ts.table->reserve(rows);
-    ts.primary.reserve(rows);
+    state(table_id).primary.reserve(rows);
 }
 
 std::optional<std::uint32_t>

@@ -124,8 +124,8 @@ class Database
                               const std::string &column);
 
     /**
-     * Size a table for `rows` rows up front: its page list and its
-     * primary index. Changes no outcome, only how often they regrow.
+     * Size a table's primary index for `rows` rows up front. Changes
+     * no outcome (no index is iterated), only how often it rehashes.
      */
     void reserveRows(std::uint32_t table_id, std::size_t rows);
 

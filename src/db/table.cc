@@ -30,12 +30,6 @@ Table::Table(Schema schema, std::uint16_t rows_per_page)
 }
 
 void
-Table::reserve(std::size_t rows)
-{
-    pages_.reserve((rows + rows_per_page_ - 1) / rows_per_page_);
-}
-
-void
 Table::checkTypes(const Row &row) const
 {
     assert(row.size() == schema_.columns.size());

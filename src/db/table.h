@@ -98,9 +98,6 @@ class Table
 
     const Schema &schema() const { return schema_; }
 
-    /** Reserve page capacity for `rows` rows. */
-    void reserve(std::size_t rows);
-
     /** Append a row; returns its location. */
     RowId insert(const Row &row);
 
