@@ -5,7 +5,6 @@
  *  bottleneck and aggregate throughput bends. */
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
 #include "bench_common.h"
@@ -43,10 +42,6 @@ clusterConfig(const ExperimentConfig &base, const Config &args,
     else
         config.lb.policy = LbPolicy::LeastConnections;
     config.lb.forward_us = args.getDouble("lb_us", 30.0);
-
-    // Parallel lane mode (defaults 0: serial kernel). Output is
-    // bit-identical for every lanes >= 1 — perf_smoke gates on it.
-    config.lanes = args.lanes();
     return config;
 }
 
@@ -202,38 +197,6 @@ main(int argc, char **argv)
         chaos.print(std::cout);
     }
 
-    // Serial-vs-lanes wall clock per node count (--lanes N only).
-    // stderr/JSON only: stdout must stay byte-identical across lane
-    // counts (perf_smoke gates --lanes 4 against --lanes 1).
-    if (args.lanes() > 0 && faults.empty()) {
-        const auto timedRun = [&](std::size_t nodes,
-                                  std::size_t lanes) {
-            ClusterConfig config =
-                clusterConfig(base, args, nodes, faults);
-            config.node.injection_rate = per_node_ir;
-            config.lanes = lanes;
-            const auto t0 = std::chrono::steady_clock::now();
-            ClusterUnderTest cluster(config, profiles, registry,
-                                     base.seed);
-            cluster.start(steady_to);
-            cluster.advanceTo(steady_to);
-            perf.addEvents(cluster.queue().executed());
-            return std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                .count();
-        };
-        for (std::size_t nodes = 1; nodes <= max_nodes; ++nodes) {
-            const double wall_serial = timedRun(nodes, 0);
-            const double wall_lanes = timedRun(nodes, args.lanes());
-            const std::string suffix = std::to_string(nodes);
-            perf.note("wall_serial_n" + suffix, wall_serial);
-            perf.note("wall_lanes_n" + suffix, wall_lanes);
-            perf.note("speedup_n" + suffix,
-                      wall_lanes > 0.0 ? wall_serial / wall_lanes
-                                       : 0.0);
-        }
-        perf.note("lanes", static_cast<double>(args.lanes()));
-    }
     perf.write(base.jobs);
     return 0;
 }

@@ -8,20 +8,20 @@
 #  - `--fastpath=0` must produce BIT-IDENTICAL stdout to `--fastpath`
 #    on a memory-bound bench — the fast path's whole contract (and
 #    micro_memwalk itself exits 1 if its arms' checksums diverge);
-#  - `--lanes 4` must produce BIT-IDENTICAL stdout to `--lanes 1` —
-#    jasim::lane's whole contract: host thread count never changes
-#    one byte of simulation output (and micro_lanes itself exits 1 if
-#    its lanes=1/lanes=N arms diverge).
 #  - the benchmark's episodes (perfbench's jasim_episode, three
 #    workloads at seeds 1 and 4242) must hash to their pinned digests:
-#    a host-side change must not move one simulated count.
+#    a host-side change must not move one simulated count;
+#  - the smoke must leave every tracked BENCH_*.json as it found it.
+#    Every bench runs from a scratch working directory, so its
+#    scaled-down records land there and not on the repo's canonical
+#    ones.
 #
-# Soft gate (warning only): the microbench speedup target (>= 1.5x
-# over the std::function baseline) and the parallel wall-clock win
-# are recorded from out/BENCH_*.json and reported, but do not fail
-# the script: both are meaningless on a loaded or single-core CI box
-# (this container exposes one CPU, so a 4-job sweep cannot beat
-# serial wall-clock here no matter how correct the runner is).
+# Soft gate (warning only): the microbench speedup targets (>= 1.5x
+# over each baseline) and the parallel wall-clock win are read from
+# the scratch directory's out/BENCH_*.json and reported, but do not
+# fail the script: host speed swings from run to run on a shared or
+# loaded machine, so one short wall-clock ratio is not a reliable
+# verdict on the code.
 #
 # Every bench runs under a wall-clock bound (coreutils `timeout`), so
 # a hang fails the smoke instead of wedging it. Each bound is at least
@@ -31,15 +31,31 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+root="$(pwd)"
 BUILD="${1:-build-perf}"
+[[ "$BUILD" = /* ]] || BUILD="$root/$BUILD"
 
 source scripts/bounded.sh
+
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+tracked_bench_sums() {
+    git -C "$root" ls-files -z 'BENCH_*.json' |
+        (cd "$root" && xargs -0 -r sha256sum)
+}
+tracked_bench_sums >"$tmp/tracked_before.txt"
 
 echo "== perf-smoke: Release build =="
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$BUILD" -j --target micro_eventqueue micro_memwalk \
-    micro_lanes fig08_l1d abl_l2size abl_cluster_scaling abl_recovery \
+    fig08_l1d abl_l2size abl_cluster_scaling abl_recovery \
     abl_replication abl_burst abl_partition soak_chaos
+
+# Benches write out/BENCH_<name>.json, and tracked ones also
+# BENCH_<name>.json, into their working directory: run them all here.
+work="$tmp/work"
+mkdir "$work"
+cd "$work"
 
 echo "== perf-smoke: event-kernel microbenchmark =="
 bounded 60 "$BUILD/bench/micro_eventqueue"
@@ -48,14 +64,7 @@ echo "== perf-smoke: memory-path microbenchmark (A/B fastpath) =="
 # Exits nonzero on its own if the two arms' checksums diverge.
 bounded 60 "$BUILD/bench/micro_memwalk"
 
-echo "== perf-smoke: lane-scheduler microbenchmark (A/B lanes) =="
-# Exits nonzero on its own if lanes=1 and lanes=N disagree on any
-# counter of the simulated cluster.
-bounded 60 "$BUILD/bench/micro_lanes" nodes=4 ir=30 steady=4 ramp=1 reps=2
-
 echo "== perf-smoke: abl_l2size serial vs --jobs 4 =="
-tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"' EXIT
 args=(steady=30 ramp=10 seed=99)
 bounded 120 "$BUILD/bench/abl_l2size" "${args[@]}" --jobs 1 >"$tmp/serial.txt"
 cp out/BENCH_abl_l2size.json out/BENCH_abl_l2size_serial.json
@@ -120,34 +129,6 @@ if ! cmp -s "$tmp/nofaults.txt" "$tmp/admoff.txt"; then
     exit 1
 fi
 echo "adm gating: --arrival fixed --admission none output is bit-identical to no overload flags"
-
-echo "== perf-smoke: parallel event core, --lanes 4 vs --lanes 1 =="
-# jasim::lane's contract, end to end: the windowed lane protocol's
-# schedule is a function of simulation state alone, so host thread
-# count must never change one byte of stdout. fig08_l1d is a
-# single-box bench where lane mode never engages — there the flag
-# must be completely inert as well.
-bounded 60 "$BUILD/bench/fig08_l1d" "${fp_args[@]}" --lanes 1 >"$tmp/lanes1_fig.txt"
-bounded 60 "$BUILD/bench/fig08_l1d" "${fp_args[@]}" --lanes 4 >"$tmp/lanes4_fig.txt"
-if ! cmp -s "$tmp/lanes1_fig.txt" "$tmp/lanes4_fig.txt"; then
-    echo "FAIL: fig08_l1d --lanes 4 output differs from --lanes 1:" >&2
-    diff "$tmp/lanes1_fig.txt" "$tmp/lanes4_fig.txt" >&2 || true
-    exit 1
-fi
-if ! cmp -s "$tmp/lanes1_fig.txt" "$tmp/fp_on.txt"; then
-    echo "FAIL: --lanes changed single-box fig08_l1d output (flag must be inert there):" >&2
-    diff "$tmp/fp_on.txt" "$tmp/lanes1_fig.txt" >&2 || true
-    exit 1
-fi
-lane_args=(nodes=8 steady=10 ramp=3 ir=40 seed=7)
-bounded 300 "$BUILD/bench/abl_cluster_scaling" "${lane_args[@]}" --lanes 1 >"$tmp/lanes1_cl.txt"
-bounded 300 "$BUILD/bench/abl_cluster_scaling" "${lane_args[@]}" --lanes 4 >"$tmp/lanes4_cl.txt"
-if ! cmp -s "$tmp/lanes1_cl.txt" "$tmp/lanes4_cl.txt"; then
-    echo "FAIL: abl_cluster_scaling --lanes 4 output differs from --lanes 1 (lane determinism broken):" >&2
-    diff "$tmp/lanes1_cl.txt" "$tmp/lanes4_cl.txt" >&2 || true
-    exit 1
-fi
-echo "lane determinism: --lanes 4 output is bit-identical to --lanes 1 (single-box and 8-node cluster)"
 
 echo "== perf-smoke: healthy-run goldens (recovery compiled in) =="
 # Pinned healthy-run digests: compiled-in-but-disarmed machinery must
@@ -285,9 +266,9 @@ echo "== perf-smoke: benchmark episode goldens =="
 # episode runner is built the way perfbench/run.py builds it; the
 # episode itself exits 1 if any of its own checks fails. Re-pin only
 # when a change means to move simulated behaviour.
-bench_build=.bench_build/perfbench
+bench_build="$root/.bench_build/perfbench"
 if [[ ! -f "$bench_build/CMakeCache.txt" ]]; then
-    cmake -S perfbench -B "$bench_build" -DCMAKE_BUILD_TYPE=Release >/dev/null
+    cmake -S "$root/perfbench" -B "$bench_build" -DCMAKE_BUILD_TYPE=Release >/dev/null
 fi
 cmake --build "$bench_build" -j --target jasim_episode
 declare -A EPISODE_GOLDEN=(
@@ -319,12 +300,14 @@ EOF
 done
 echo "episodes: paper_box, repl_chaos and burst_shed at seeds 1 and 4242 match their pinned digests"
 
-python3 - out/BENCH_abl_l2size_serial.json out/BENCH_abl_l2size.json <<'EOF'
-import json, sys
-serial = json.load(open(sys.argv[1]))
-par = json.load(open(sys.argv[2]))
-micro = json.load(open("out/BENCH_micro_eventqueue.json"))
-memwalk = json.load(open("out/BENCH_micro_memwalk.json"))
+python3 - "$work/out" <<'EOF'
+import json, os, sys
+def record(name):
+    return json.load(open(os.path.join(sys.argv[1], f"BENCH_{name}.json")))
+serial = record("abl_l2size_serial")
+par = record("abl_l2size")
+micro = record("micro_eventqueue")
+memwalk = record("micro_memwalk")
 kernel = micro["metrics"]["speedup"]
 mem = memwalk["metrics"]["speedup"]
 sweep = serial["wall_seconds"] / par["wall_seconds"] if par["wall_seconds"] else 0.0
@@ -338,5 +321,14 @@ if mem < 1.5:
 if sweep < 2.0:
     print("WARNING: sweep speedup below target (needs >= 4 idle cores)")
 EOF
+
+echo "== perf-smoke: tracked BENCH_*.json untouched =="
+tracked_bench_sums >"$tmp/tracked_after.txt"
+if ! cmp -s "$tmp/tracked_before.txt" "$tmp/tracked_after.txt"; then
+    echo "FAIL: the smoke changed a tracked BENCH_*.json:" >&2
+    diff "$tmp/tracked_before.txt" "$tmp/tracked_after.txt" >&2 || true
+    exit 1
+fi
+echo "tracked records: every BENCH_*.json is as the smoke found it"
 
 echo "== perf-smoke: done =="

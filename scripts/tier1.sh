@@ -11,9 +11,9 @@
 # + ctest): slower, but every test runs instrumented. Use it when
 # touching lifetime-sensitive code (event closures, fault injection,
 # connection pools). `--san` also adds a ThreadSanitizer build
-# (-DJASIM_TSAN=ON) running test_lane and test_par — the two suites
-# that exercise real cross-thread handoffs (jasim::lane windows and
-# jasim::par sweeps); ASan cannot see data races, TSan can — plus a
+# (-DJASIM_TSAN=ON) running test_par — the suite that exercises
+# jasim's only cross-thread handoffs (jasim::par's worker pool and
+# sweeps); ASan cannot see data races, TSan can — plus a
 # standalone UBSan build (-DJASIM_UBSAN=ON) running the full suite:
 # UBSan alone is near full speed, and it catches signed overflow /
 # misaligned access in arithmetic-heavy code (fencing-token and LSN
@@ -52,10 +52,9 @@ if [[ "$SAN_FULL" == 1 ]]; then
     cmake --build "$SAN_BUILD" -j
     ctest --test-dir "$SAN_BUILD" --output-on-failure -j"$(nproc)"
 
-    echo "== tier-1: TSan build (lane + par thread handoffs) =="
+    echo "== tier-1: TSan build (par thread handoffs) =="
     cmake -B "$TSAN_BUILD" -S . -DJASIM_TSAN=ON >/dev/null
-    cmake --build "$TSAN_BUILD" -j --target test_lane test_par
-    bounded 600 "$TSAN_BUILD/tests/test_lane"
+    cmake --build "$TSAN_BUILD" -j --target test_par
     bounded 120 "$TSAN_BUILD/tests/test_par"
 
     echo "== tier-1: UBSan build (full suite, undefined behaviour only) =="

@@ -139,27 +139,10 @@ ClusterUnderTest::ClusterUnderTest(
             [this](const FaultEvent &event) { applyFault(event); });
     }
 
-    // Parallel lane mode. v1 partitions the healthy unsharded tier
-    // only: faults/resilience/recovery/replication all touch state
-    // across components synchronously (probe ejection, breaker state,
-    // shard generations), and a zero-latency fabric has no lookahead
-    // window — any of those falls back to the serial kernel, leaving
-    // the facade queue untouched. Installed before any scheduling so
-    // every event of the run flows through the router.
-    if (config_.lanes > 0 && !resilience_on_ && !repl_on_ &&
-        fabric_.minLatencyUs() >= 1) {
-        lane_sched_ = std::make_unique<lane::LaneScheduler>(
-            queue_, config_.nodes + 1, fabric_.minLatencyUs(),
-            config_.lanes);
-    }
-
     Rng seeder(seed ^ 0x5eedull);
     pools_.reserve(config_.nodes);
     nodes_.reserve(config_.nodes);
     for (std::size_t n = 0; n < config_.nodes; ++n) {
-        // Anything the node stack schedules at construction belongs
-        // on the node's lane (no-op tag in serial runs).
-        const lane::ToLane to_node(nodeLane(n));
         pools_.push_back(std::make_unique<ConnectionPool>(
             pool_config, queue_, fabric_.nodeDb(n)));
         nodes_.push_back(std::make_unique<SystemUnderTest>(
@@ -263,10 +246,6 @@ ClusterUnderTest::routeToNode(const Request &request)
     }
     const SimTime at_node = fabric_.lbNode(node).deliver(
         lb_free_, static_cast<std::uint64_t>(config_.request_bytes));
-    // Cross-lane handoff: the request leaves the balancer's lane and
-    // lands on the node's. The link latency is what makes the target
-    // time fall past the lookahead window.
-    const lane::ToLane to_node(nodeLane(node));
     queue_.scheduleAt(at_node, [this, request, node] {
         nodes_[node]->inject(request);
     });
@@ -277,15 +256,13 @@ ClusterUnderTest::onNodeComplete(std::size_t node,
                                  const Request &request,
                                  SimTime finish)
 {
-    // Runs on the node's lane (synchronous SUT completion hook). The
-    // balancer learns of the completion when the response reaches it
-    // — lb_.complete lives in the at_lb closure, not here: the LB
-    // cannot observe a node-local event before a message crosses the
-    // wire (and in lane mode the LB's books are lane-0 state).
+    // Synchronous SUT completion hook. The balancer learns of the
+    // completion when the response reaches it -- lb_.complete lives in
+    // the at_lb closure, not here: the LB cannot observe a node-local
+    // event before a message crosses the wire.
     const std::uint64_t bytes = responseBytes(request.type);
     const SimTime at_lb = fabric_.lbNode(node).deliver(
         finish, bytes, NetworkLink::Direction::Reverse);
-    const lane::ToLane to_front(0);
     queue_.scheduleAt(at_lb, [this, request, node, bytes] {
         lb_.complete(node);
         const SimTime at_client = fabric_.clientLb().deliver(
@@ -332,8 +309,7 @@ ClusterUnderTest::remoteDb(std::size_t node, RequestType type,
     call->node = node;
     call->type = type;
     call->noise = noise;
-    // One shard needs no routing draw: the stream feeds nothing else,
-    // and in lane mode this runs on the node's lane.
+    // One shard needs no routing draw: the stream feeds nothing else.
     if (shards_.size() > 1)
         call->shard = shard_map_->shardOf(route_rng_());
     repl::ShardGroup &group = *shards_[call->shard];
@@ -424,8 +400,6 @@ ClusterUnderTest::sendQuery(const std::shared_ptr<DbCall> &call,
         ready, static_cast<std::uint64_t>(config_.query_bytes));
     if (lost)
         return; // query vanished on the wire; the deadline cleans up
-    // The query leaves the node's lane for the DB tier (lane 0).
-    const lane::ToLane to_db(0);
     queue_.scheduleAt(at_db, [this, call, settled] {
         executeQuery(call, settled);
     });
@@ -604,9 +578,7 @@ ClusterUnderTest::sendResponse(const std::shared_ptr<DbCall> &call,
         NetworkLink::Direction::Reverse);
     if (lost)
         return; // response vanished; the deadline cleans up
-    // The response returns to the node's lane, where the connection
-    // frees and the EJB tier resumes.
-    const lane::ToLane to_node(nodeLane(call->node));
+    // Back at the node, the connection frees and the EJB tier resumes.
     queue_.scheduleAt(at_node, [this, call, settled, outcome] {
         if (*settled)
             return; // deadline already reclaimed the connection

@@ -33,7 +33,6 @@
 #include "db/durability_audit.h"
 #include "fault/injector.h"
 #include "fault/resilience.h"
-#include "lane/lane_scheduler.h"
 #include "net/connection_pool.h"
 #include "net/fabric.h"
 #include "net/load_balancer.h"
@@ -109,15 +108,7 @@ struct ClusterConfig
      */
     repl::ReplConfig repl;
 
-    /**
-     * Host threads for parallel event execution (jasim::lane). 0 (the
-     * default) runs the untouched serial kernel; any value >= 1 runs
-     * the windowed lane scheduler, whose output is bit-identical for
-     * every thread count — `lanes 16` replays exactly the schedule
-     * `lanes 1` does. Lane mode silently falls back to serial when
-     * the run cannot be lane-partitioned: faults/resilience/recovery
-     * armed, replication on, or a zero-latency fabric (no lookahead).
-     */
+    /** Unread; perfbench/episode.cc still assigns it. Delete both together. */
     std::size_t lanes = 0;
 
     /** Aggregate injection rate the driver runs at. */
@@ -289,23 +280,6 @@ class ClusterUnderTest
         return stale_rewind_bytes_;
     }
 
-    // ---- parallel lane mode (jasim::lane) ----
-
-    /** True when the windowed lane scheduler drives this run. */
-    bool laneModeActive() const { return lane_sched_ != nullptr; }
-
-    /** Null when lane mode is off or fell back to serial. */
-    const lane::LaneScheduler *laneScheduler() const
-    {
-        return lane_sched_.get();
-    }
-
-    /** Lane owning node `n`'s events (lane 0 is driver/LB/DB). */
-    static constexpr std::size_t nodeLane(std::size_t n)
-    {
-        return n + 1;
-    }
-
   private:
     ClusterConfig config_;
     std::shared_ptr<const WorkloadProfiles> profiles_;
@@ -451,13 +425,6 @@ class ClusterUnderTest
     void leaseMonitorTick();
     /** Node n can currently reach the member serving `shard`. */
     bool nodeReachesShard(std::size_t node, std::size_t shard) const;
-
-    /**
-     * Windowed parallel scheduler (lane mode); null in serial runs.
-     * Declared last so it is destroyed first — it must detach from
-     * queue_ while the queue (and every lane's closures) still live.
-     */
-    std::unique_ptr<lane::LaneScheduler> lane_sched_;
 };
 
 } // namespace jasim

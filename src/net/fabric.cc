@@ -1,7 +1,5 @@
 #include "net/fabric.h"
 
-#include <algorithm>
-
 namespace jasim {
 
 NetworkFabric::NetworkFabric(const FabricConfig &config,
@@ -17,17 +15,6 @@ NetworkFabric::NetworkFabric(const FabricConfig &config,
         node_db_.push_back(
             std::make_unique<NetworkLink>(config.node_db, seeder()));
     }
-}
-
-SimTime
-NetworkFabric::minLatencyUs() const
-{
-    SimTime min = client_lb_.minLatencyUs();
-    for (const auto &link : lb_node_)
-        min = std::min(min, link->minLatencyUs());
-    for (const auto &link : node_db_)
-        min = std::min(min, link->minLatencyUs());
-    return min;
 }
 
 void

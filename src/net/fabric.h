@@ -56,14 +56,6 @@ class NetworkFabric
     std::uint64_t totalBytes() const;
 
     /**
-     * Minimum guaranteed one-way delivery delay over every link in
-     * the fabric (us). No message can cross any hop faster than this,
-     * so it is a sound conservative lookahead window for
-     * jasim::lane. Zero if any link is zero-cost.
-     */
-    SimTime minLatencyUs() const;
-
-    /**
      * Install a partition: endpoints on different sides cannot reach
      * each other until clearPartition(). An endpoint listed on no
      * side remains reachable from everyone (the LB/driver links are

@@ -27,8 +27,8 @@ NetworkLink::propagation(Direction direction)
     if (config_.jitter_sigma > 0.0) {
         const double sigma = config_.jitter_sigma;
         // Mean-1 multiplier: E[lognormal(-s^2/2, s)] = 1. The floor
-        // bounds how early a jittered message can arrive, which is
-        // what makes minLatencyUs() sound as a lookahead window.
+        // bounds how early a jittered message can arrive; it is part
+        // of the pinned cluster schedule.
         const double mult = std::max(
             drawLogNormal(rng_[static_cast<std::size_t>(direction)],
                           -sigma * sigma / 2.0, sigma),
@@ -36,19 +36,6 @@ NetworkLink::propagation(Direction direction)
         latency *= mult;
     }
     return static_cast<SimTime>(std::llround(latency));
-}
-
-SimTime
-NetworkLink::minLatencyUs() const
-{
-    if (config_.latency_us <= 0.0)
-        return 0;
-    const double floor_mult =
-        config_.jitter_sigma > 0.0 ? kJitterFloor : 1.0;
-    // Round down: llround(latency * mult) with mult >= floor_mult can
-    // never land below floor(latency * floor_mult).
-    return static_cast<SimTime>(
-        std::floor(config_.latency_us * floor_mult));
 }
 
 void

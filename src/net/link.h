@@ -11,15 +11,13 @@
  * jitter_sigma = 0 is a zero-cost link, which the cluster equivalence
  * tests rely on.
  *
- * The jitter multiplier is clamped below at kJitterFloor, so a link
- * has a guaranteed minimum one-way latency, `minLatencyUs()`. That
- * bound is load-bearing: jasim::lane uses the fabric-wide minimum as
- * its conservative lookahead window, and an unbounded log-normal
- * would let a single early delivery violate the window. Each
+ * The jitter multiplier is clamped below at kJitterFloor, so no
+ * jittered message arrives sooner than kJitterFloor x latency. Each
  * direction draws jitter from its own forked RNG stream and keeps its
  * own stats, so the two directions of a full-duplex link are
- * independent — which is what lets the forward and reverse paths be
- * owned by different event lanes.
+ * independent. Both the clamp and the per-direction streams shape
+ * every jittered delivery time, so they are part of the pinned
+ * cluster schedule: removing either moves the cluster goldens.
  */
 
 #ifndef JASIM_NET_LINK_H
@@ -83,9 +81,9 @@ class NetworkLink
     /**
      * Lower clamp on the log-normal jitter multiplier. With sigma
      * 0.15 (the lan() default) a draw this low is a ~4.6-sigma event
-     * in log space, so the clamp is unobservable in practice — it
-     * exists to make minLatencyUs() a hard guarantee rather than a
-     * statistical one.
+     * in log space, so the clamp rarely acts; it makes the minimum
+     * one-way latency a hard bound rather than a statistical one, and
+     * it stays because the pinned cluster schedule includes it.
      */
     static constexpr double kJitterFloor = 0.5;
 
@@ -125,16 +123,6 @@ class NetworkLink
 
     /** Expected round-trip time, jitter-free (us). */
     double rttUs() const { return 2.0 * config_.latency_us; }
-
-    /**
-     * Guaranteed minimum one-way delivery delay (us): the configured
-     * latency scaled by the jitter floor when jitter is enabled.
-     * Degradation multipliers only ever raise latency, and
-     * serialization only adds, so no message delivered at time `now`
-     * can arrive before `now + minLatencyUs()`. jasim::lane takes the
-     * fabric-wide minimum of this as its lookahead window.
-     */
-    SimTime minLatencyUs() const;
 
     const LinkConfig &config() const { return config_; }
 

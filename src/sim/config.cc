@@ -106,18 +106,6 @@ Config::fastpath() const
 }
 
 std::size_t
-Config::lanes() const
-{
-    const std::string text = getString("lanes", "0");
-    char *end = nullptr;
-    const std::int64_t raw = std::strtoll(text.c_str(), &end, 0);
-    if (end == text.c_str() || raw < 0)
-        return 0; // unparsable or negative: serial kernel
-    const auto lanes = static_cast<std::size_t>(raw);
-    return lanes > 64 ? 64 : lanes;
-}
-
-std::size_t
 Config::shards() const
 {
     const std::string text = getString("shards", "1");

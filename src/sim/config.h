@@ -63,18 +63,6 @@ class Config
     bool fastpath() const;
 
     /**
-     * Validated lane-thread count from `--lanes N` (jasim::lane
-     * windowed parallel event execution, cluster benches).
-     *
-     * Absent, negative, or unparsable values mean 0 — the serial
-     * legacy kernel. 1 runs the lane protocol single-threaded (the
-     * determinism baseline), N > 1 adds host threads; output is
-     * bit-identical for every N >= 1. A bare `--lanes` means 1;
-     * anything above 64 is clamped to 64.
-     */
-    std::size_t lanes() const;
-
-    /**
      * Fault-schedule spec from `--faults <spec>` (see
      * fault/schedule.h for the grammar). Empty — the default — means
      * a healthy run; benches pass it to FaultSchedule::parse.

@@ -53,19 +53,9 @@ EventQueue::siftDownFromRoot(Entry filler)
     heap_[hole] = filler;
 }
 
-void
-EventQueue::setLaneRouter(LaneRouter *router)
-{
-    assert((!router || (heap_.empty() && now_ == 0)) &&
-           "lane router must be installed on a virgin queue");
-    router_ = router;
-}
-
 std::uint64_t
 EventQueue::scheduleAt(SimTime when, Action &&action)
 {
-    if (router_)
-        return router_->laneSchedule(when, std::move(action));
     assert(when >= now_ && "cannot schedule in the past");
     const std::uint64_t id = next_sequence_++;
     assert(id < (std::uint64_t{1} << (64 - kSlotBits)) &&
@@ -90,9 +80,7 @@ EventQueue::scheduleAt(SimTime when, Action &&action)
 std::uint64_t
 EventQueue::scheduleAfter(SimTime delay, Action &&action)
 {
-    // now() (not now_): under a router, "now" is the executing lane's
-    // local clock, and relative delays must be relative to that.
-    return scheduleAt(now() + delay, std::move(action));
+    return scheduleAt(now_ + delay, std::move(action));
 }
 
 EventQueue::Action
@@ -115,8 +103,6 @@ EventQueue::popEarliest()
 std::uint64_t
 EventQueue::runUntil(SimTime horizon)
 {
-    if (router_)
-        return router_->laneRunUntil(horizon);
     std::uint64_t executed = 0;
     while (!heap_.empty() && heap_.front().when <= horizon) {
         Action action = popEarliest();
@@ -132,7 +118,6 @@ EventQueue::runUntil(SimTime horizon)
 bool
 EventQueue::step()
 {
-    assert(!router_ && "step() is unsupported on a routed queue");
     if (heap_.empty())
         return false;
     Action action = popEarliest();
@@ -144,7 +129,6 @@ EventQueue::step()
 void
 EventQueue::clear()
 {
-    assert(!router_ && "clear() is unsupported on a routed queue");
     heap_.clear();
     slots_.clear();
     free_slots_.clear();

@@ -24,7 +24,6 @@
 #define JASIM_SIM_EVENT_QUEUE_H
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "sim/inline_function.h"
@@ -33,91 +32,26 @@
 namespace jasim {
 
 /**
- * Back end a facade EventQueue can delegate to.
- *
- * jasim::lane installs one of these on the cluster's shared queue:
- * every scheduleAt/runUntil/now call on the facade is forwarded here,
- * and the router fans events out over per-lane real EventQueues (which
- * have no router installed and run the plain serial kernel). Model
- * code keeps calling the one queue it always did; the router decides
- * which lane each event lands on and when it runs.
- */
-class LaneRouter
-{
-  public:
-    virtual ~LaneRouter() = default;
-
-    /** Facade scheduleAt(): route the event to its owning lane. */
-    virtual std::uint64_t laneSchedule(SimTime when,
-                                       InlineFunction &&action) = 0;
-
-    /** Facade now(): the calling context's notion of current time. */
-    virtual SimTime laneNow() const = 0;
-
-    /** Facade runUntil(): drive the windowed lane protocol. */
-    virtual std::uint64_t laneRunUntil(SimTime horizon) = 0;
-
-    /** Facade pending(): total pending events across lanes. */
-    virtual std::size_t lanePending() const = 0;
-
-    /** Facade executed(): total executed events across lanes. */
-    virtual std::uint64_t laneExecuted() const = 0;
-};
-
-/**
  * Deterministic discrete-event queue.
  *
- * Not thread-safe; a simulation is single-threaded by design.
- * Parallelism in jasim lives elsewhere: `jasim::par` runs whole
- * independent simulations concurrently (one queue per worker), and
- * `jasim::lane` runs one simulation over several of these queues —
- * installing a LaneRouter turns this queue into a pure facade over
- * the router's per-lane queues.
+ * jasim's one event kernel. Not thread-safe; a simulation is
+ * single-threaded by design. The only parallelism in jasim is
+ * `jasim::par`, which runs whole independent simulations concurrently
+ * (one queue per worker).
  */
 class EventQueue
 {
   public:
     using Action = InlineFunction;
 
-    /** nextEventTime() when no event is pending. */
-    static constexpr SimTime kNoEvent =
-        std::numeric_limits<SimTime>::max();
-
     /** Current simulated time. */
-    SimTime now() const
-    {
-        return router_ ? router_->laneNow() : now_;
-    }
+    SimTime now() const { return now_; }
 
     /** Number of pending events. */
-    std::size_t pending() const
-    {
-        return router_ ? router_->lanePending() : heap_.size();
-    }
+    std::size_t pending() const { return heap_.size(); }
 
     /** Total events executed over the queue's lifetime. */
-    std::uint64_t executed() const
-    {
-        return router_ ? router_->laneExecuted() : executed_;
-    }
-
-    /** Timestamp of the earliest pending event, or kNoEvent. */
-    SimTime nextEventTime() const
-    {
-        return heap_.empty() ? kNoEvent : heap_.front().when;
-    }
-
-    /**
-     * Install (or, with nullptr, remove) a delegation back end.
-     * Installation requires a virgin queue (no pending events, time
-     * 0) so every event of the run flows through the router; removal
-     * is allowed any time (the owner tears the router down before the
-     * queue). step() and clear() are unsupported while routed.
-     */
-    void setLaneRouter(LaneRouter *router);
-
-    /** The installed router, if any. */
-    LaneRouter *laneRouter() const { return router_; }
+    std::uint64_t executed() const { return executed_; }
 
     /**
      * Schedule an action at an absolute time.
@@ -196,7 +130,6 @@ class EventQueue
     SimTime now_ = 0;
     std::uint64_t next_sequence_ = 0;
     std::uint64_t executed_ = 0;
-    LaneRouter *router_ = nullptr; //!< facade mode when non-null
 };
 
 } // namespace jasim

@@ -79,8 +79,9 @@ TEST(LinkTest, JitteredDeliveryNeverBeatsTheDocumentedFloor)
 {
     // The jitter multiplier is clamped at kJitterFloor, so no draw —
     // however extreme the sigma — can deliver faster than
-    // floor x latency. jasim::lane derives its lookahead window from
-    // this guarantee; a single early delivery would break it.
+    // floor x latency. The clamp is part of the pinned cluster
+    // schedule, so it must keep acting: with this sigma most draws
+    // fall below the floor and land exactly on it.
     LinkConfig config;
     config.latency_us = 200.0;
     config.jitter_sigma = 1.5; // heavy tail, many low draws
@@ -88,7 +89,7 @@ TEST(LinkTest, JitteredDeliveryNeverBeatsTheDocumentedFloor)
     NetworkLink link(config, 77);
     const auto floor_us =
         static_cast<SimTime>(200.0 * NetworkLink::kJitterFloor);
-    EXPECT_EQ(link.minLatencyUs(), floor_us);
+    int at_floor = 0;
     for (int i = 0; i < 20000; ++i) {
         const SimTime sent = static_cast<SimTime>(i) * 1000;
         const auto dir = (i % 2 == 0)
@@ -96,19 +97,9 @@ TEST(LinkTest, JitteredDeliveryNeverBeatsTheDocumentedFloor)
                              : NetworkLink::Direction::Reverse;
         const SimTime arrival = link.deliver(sent, 1, dir);
         EXPECT_GE(arrival - sent, floor_us) << "message " << i;
+        at_floor += arrival - sent == floor_us;
     }
-}
-
-TEST(LinkTest, MinLatencyReflectsJitterConfig)
-{
-    LinkConfig config;
-    config.latency_us = 100.0;
-    config.jitter_sigma = 0.0;
-    EXPECT_EQ(NetworkLink(config, 1).minLatencyUs(), 100u);
-    config.jitter_sigma = 0.15;
-    EXPECT_EQ(NetworkLink(config, 1).minLatencyUs(), 50u);
-    EXPECT_EQ(NetworkLink(LinkConfig::zeroCost(), 1).minLatencyUs(),
-              0u);
+    EXPECT_GT(at_floor, 0);
 }
 
 TEST(LinkTest, PerDirectionStatsSumIntoTheAggregate)

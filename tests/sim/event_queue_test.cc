@@ -131,19 +131,6 @@ TEST(EventQueueTest, ExecutedAccumulatesAcrossRunsAndSteps)
     EXPECT_EQ(queue.executed(), 5u);
 }
 
-TEST(EventQueueTest, NextEventTimeReportsHeapFront)
-{
-    EventQueue queue;
-    EXPECT_EQ(queue.nextEventTime(), EventQueue::kNoEvent);
-    queue.scheduleAt(200, [] {});
-    queue.scheduleAt(50, [] {});
-    EXPECT_EQ(queue.nextEventTime(), 50u);
-    queue.runUntil(100);
-    EXPECT_EQ(queue.nextEventTime(), 200u);
-    queue.runUntil(300);
-    EXPECT_EQ(queue.nextEventTime(), EventQueue::kNoEvent);
-}
-
 TEST(EventQueueTest, MoveOnlyActionsSupported)
 {
     // std::function rejects move-only closures; the kernel's
