@@ -108,7 +108,8 @@ struct ClusterConfig
      */
     repl::ReplConfig repl;
 
-    /** Unread; perfbench/episode.cc still assigns it. Delete both together. */
+    /** Unread (perfbench/episode.cc sets it); the next benchmark
+     *  change deletes both. */
     std::size_t lanes = 0;
 
     /** Aggregate injection rate the driver runs at. */
